@@ -4,6 +4,9 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -117,7 +120,7 @@ FASTCC_SHARD_LOCAL void advance_shard(
 ///         H[d], so d may run to H[d] - 1 without synchronizing.
 /// A shard with t[d] >= H[d] has nothing to do this epoch and is skipped
 /// outright (active-set protocol); when every horizon clears an idle
-/// stretch the front advances by many legacy quanta in one barrier step
+/// stretch the front advances by many minimum lookaheads in one barrier step
 /// (horizon jump) — the fixed-increment loop this replaces walked such
 /// stretches one minimum-lookahead step at a time.
 FASTCC_EPOCH_PUBLISH bool plan_epoch(
@@ -187,8 +190,8 @@ FASTCC_EPOCH_PUBLISH bool plan_epoch(
   assert(!loop.active.empty() &&
          "a shard owning min_work is always inside its own horizon");
 
-  // A barrier step that moved the front further than the legacy fixed
-  // quantum covered an idle stretch in one jump.
+  // A barrier step that moved the front further than the minimum lookahead
+  // covered an idle stretch in one jump.
   if (loop.epochs > 0 && front > loop.front &&
       front - loop.front > la.min_window()) {
     ++loop.horizon_jumps;
@@ -198,41 +201,70 @@ FASTCC_EPOCH_PUBLISH bool plan_epoch(
   return true;
 }
 
-}  // namespace
+/// Always-on config checks (the optimized build compiles asserts out).
+/// Preset host indices are checked before they index tree.hosts, and
+/// preset ids before they key the flow -> path map.
+void validate(const DatacenterConfig& config) {
+  auto fail = [](const std::string& what) {
+    throw std::invalid_argument("datacenter config: " + what);
+  };
+  if (config.components.empty() && config.preset_flows.empty()) {
+    fail("empty workload (no traffic components and no preset flows)");
+  }
+  const bool load_ok = config.load > 0.0 && config.load <= 1.0;  // NaN fails
+  if (config.preset_flows.empty() && !load_ok) {
+    fail("load " + std::to_string(config.load) + " outside (0, 1]");
+  }
+  if (config.max_sim_time <= 0) fail("max_sim_time must be positive");
+  const auto hosts = static_cast<net::NodeId>(config.topo.host_count());
+  std::set<net::FlowId> ids;
+  for (const net::FlowSpec& spec : config.preset_flows) {
+    const std::string flow = "preset flow " + std::to_string(spec.id);
+    if (spec.src >= hosts || spec.dst >= hosts) {
+      fail(flow + ": host index outside [0, " + std::to_string(hosts) + ")");
+    }
+    if (spec.src == spec.dst) fail(flow + ": src == dst");
+    if (!ids.insert(spec.id).second) fail(flow + ": duplicate flow id");
+  }
+}
 
-DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
-                                        int workers,
-                                        ShardedRunStats* stats_out) {
-  assert(!config.components.empty() || !config.preset_flows.empty());
-  const int shards =
-      config.shard_granularity == topo::ShardGranularity::kTor
-          ? config.topo.pods * config.topo.tors_per_pod
-          : config.topo.pods;
-  if (workers <= 0) workers = shards;
+/// The one fat-tree engine behind both entry points.  `single_shard` puts
+/// every node in shard 0 (run_datacenter); otherwise the tree is
+/// partitioned at config.shard_granularity (run_datacenter_sharded).
+DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
+                            int workers, ShardedRunStats* stats_out) {
+  validate(config);
 
   // Private event queue and packet arena per shard.  unique_ptr because
   // neither type is movable; addresses must also stay stable — ports and
-  // nodes hold raw pointers into these after rebinding.
+  // nodes hold raw pointers into these after rebinding.  The whole topology
+  // is built against shard 0's simulator and re-homed onto its owning
+  // shard below.  Building is serial either way; only the run is parallel.
   std::vector<std::unique_ptr<sim::Simulator>> sims;
+  sims.push_back(std::make_unique<sim::Simulator>());
+  net::Network network(*sims[0], config.seed);
+  topo::FatTree tree = build_fat_tree(network, config.topo);
+  net::ShardMap smap;
+  if (single_shard) {
+    smap.shard.assign(network.node_count(), 0);
+  } else {
+    smap = topo::shard_map_for(tree, config.topo, network.node_count(),
+                               config.shard_granularity);
+  }
+  const int shards = smap.count;
+  if (workers <= 0) workers = shards;
+
   std::vector<std::unique_ptr<net::PacketPool>> pools;
-  sims.reserve(static_cast<std::size_t>(shards));
   pools.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    sims.push_back(std::make_unique<sim::Simulator>());
+    if (s > 0) sims.push_back(std::make_unique<sim::Simulator>());
     pools.push_back(std::make_unique<net::PacketPool>());
   }
 
-  // Build the whole topology against shard 0's simulator, then re-home each
-  // node onto its owning shard below.  Building is serial either way; only
-  // the run is parallel.
-  net::Network network(*sims[0], config.seed);
-  topo::FatTree tree = build_fat_tree(network, config.topo);
-  const net::ShardMap smap = topo::shard_map_for(
-      tree, config.topo, network.node_count(), config.shard_granularity);
-  assert(smap.count == shards);
-
   if (variant_needs_red(config.variant)) {
     network.set_red_all(red_params_for(config.variant));
+    // ECN-driven deployments rely on PFC for losslessness while the
+    // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
     net::PfcParams pfc;
     pfc.pause_bytes = 200'000;
     pfc.resume_bytes = 100'000;
@@ -241,9 +273,8 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
 
   CcFactory factory(network, config.variant, /*small_topology=*/false);
 
-  // Traffic generation forks the network stream first, exactly like
-  // run_datacenter, so a given seed produces the same flow set in both
-  // entry points.
+  // Traffic generation forks the network stream first, so a given seed
+  // produces the same flow set under every partition.
   std::vector<net::FlowSpec> specs;
   if (!config.preset_flows.empty()) {
     specs = config.preset_flows;
@@ -330,7 +361,7 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   std::vector<ShardState> shard_state(static_cast<std::size_t>(shards));
 
   // Completion callbacks write only the owning shard's state — no shared
-  // counter, no stop(); termination is the drain check at the barrier.
+  // counter; termination is the drain check at the barrier.
   for (net::Host* h : tree.hosts) {
     ShardState* st = &shard_state[static_cast<std::size_t>(smap.of(h->id()))];
     h->set_completion_callback([st, &flow_paths](const net::FlowTx& f) {
@@ -340,6 +371,7 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
   }
 
   for (net::FlowSpec& spec : specs) {
+    // Remap generator host indices to topology node ids.
     net::Host* src = tree.hosts[spec.src];
     net::Host* dst = tree.hosts[spec.dst];
     spec.src = src->id();
@@ -395,23 +427,28 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
     result.flows.insert(result.flows.end(), st.recorder.records().begin(),
                         st.recorder.records().end());
   }
-  // Canonical order: flow id.  (Serial runs report completion order, which
-  // has no cross-shard analogue.)
+  // Canonical order: flow id, independent of completion order.
   std::sort(result.flows.begin(), result.flows.end(),
             [](const stats::FlowRecord& a, const stats::FlowRecord& b) {
               return a.id < b.id;
             });
   result.drops = network.total_drops();
   for (const auto& sim : sims) result.events_executed += sim->events_executed();
-  // Shards stop at per-shard horizons (skipped shards' clocks lag), so the
-  // furthest clock is the run's end time.
-  for (const auto& sim : sims) result.end_time = std::max(result.end_time, sim->now());
   result.unfinished = total - completed;
+  // The experiment ends when its last flow does.  Shard clocks are no
+  // measure of that: they park at epoch horizons, skipped shards lag, and
+  // the drain tail runs past the last completion.
+  if (result.unfinished > 0) {
+    result.end_time = config.max_sim_time;
+  } else {
+    for (const stats::FlowRecord& f : result.flows) {
+      result.end_time = std::max(result.end_time, f.start_time + f.fct);
+    }
+  }
 
   if (stats_out != nullptr) {
     stats_out->shards = shards;
     stats_out->workers = std::clamp(workers, 1, shards);
-    stats_out->lookahead = lookahead.min_window();
     stats_out->lookahead_min = lookahead.min_window();
     stats_out->lookahead_max = lookahead.max_window();
     stats_out->epochs = loop.epochs;
@@ -434,6 +471,18 @@ DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
     for (const auto& pool : pools) pool->enable_teardown_leak_audit();
   }
   return result;
+}
+
+}  // namespace
+
+DatacenterResult run_datacenter(const DatacenterConfig& config) {
+  return run_engine(config, /*single_shard=*/true, /*workers=*/1, nullptr);
+}
+
+DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
+                                        int workers,
+                                        ShardedRunStats* stats_out) {
+  return run_engine(config, /*single_shard=*/false, workers, stats_out);
 }
 
 }  // namespace fastcc::exp

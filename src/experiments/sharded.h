@@ -1,10 +1,12 @@
-// Space-parallel datacenter runs: one simulation, sharded by pod or by ToR.
+// The datacenter engine: one simulation, partitioned into logical shards.
 //
-// run_datacenter_sharded() executes the same experiment as run_datacenter(),
-// but partitions the fat-tree into logical shards — one per pod, or one per
-// ToR+its hosts when DatacenterConfig::shard_granularity is kTor (spines and
-// pod-internal aggs dealt round-robin either way) — gives every shard a
-// private Simulator, PacketPool, and Rng, and advances the shards in
+// Both fat-tree entry points run the same engine and differ only in the
+// partition.  run_datacenter() is the single-shard case: every node in
+// shard 0, no boundary links, no transfers, one epoch.
+// run_datacenter_sharded() partitions the fat-tree by pod, or by ToR+its
+// hosts when DatacenterConfig::shard_granularity is kTor (spines and
+// pod-internal aggs dealt round-robin either way).  Every shard gets a
+// private Simulator, PacketPool, and Rng, and the shards advance in
 // conservative barrier epochs (see sim/epoch.h) on `workers` OS threads.
 // Packets crossing a shard boundary are serialized out of the source shard's
 // pool into per-shard-pair mailboxes at the epoch barrier and
@@ -19,11 +21,11 @@
 // Determinism: the shard partition and every horizon/active-set decision are
 // functions of the topology and simulation state alone, so the result is
 // byte-identical for every worker count — 1, 2, 8, and 16 workers produce
-// the same flow records, drops, and event counts.  (It is *not*
-// flow-for-flow identical to run_datacenter(), and the two granularities
-// are not flow-for-flow identical to each other: per-shard Rng streams
-// replace the single network stream, so RED marking draws differ.  Each
-// configuration is deterministic in its own right.)
+// the same flow records, drops, and event counts.  Different partitions
+// (serial, pod grain, rack grain) are not flow-for-flow identical to each
+// other: each shard draws from its own Rng stream, so RED marking and
+// probabilistic feedback draws differ.  Each partition is deterministic in
+// its own right.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +40,6 @@ namespace fastcc::exp {
 struct ShardedRunStats {
   int shards = 1;
   int workers = 1;              ///< After clamping to [1, shards].
-  sim::Time lookahead = 0;      ///< Min boundary-link delay (legacy quantum).
   /// Smallest / largest finite entry of the per-pair lookahead matrix
   /// (path-closed, off-diagonal).  Equal on homogeneous-latency
   /// topologies; a spread is the slack the adaptive horizons exploit.
@@ -49,9 +50,9 @@ struct ShardedRunStats {
   /// local event and inbound release horizons both sat beyond its epoch
   /// horizon, so it was never claimed (its simulator was not touched).
   std::uint64_t epochs_skipped = 0;
-  /// Barrier steps whose horizon front advanced by more than the legacy
-  /// quantum (`lookahead`) in one jump — idle stretches fast-forwarded
-  /// instead of being walked one lookahead at a time.
+  /// Barrier steps whose horizon front advanced by more than
+  /// `lookahead_min` in one jump — idle stretches fast-forwarded instead of
+  /// being walked one minimum lookahead at a time.
   std::uint64_t horizon_jumps = 0;
   std::uint64_t cross_shard_transfers = 0;
   bool drained = false;  ///< All queues and mailboxes empty at the end.
@@ -59,13 +60,15 @@ struct ShardedRunStats {
   std::vector<std::uint32_t> pool_live_at_end;  ///< 0 for every drained shard.
 };
 
-/// Runs `config` sharded by pod on `workers` threads (0 = one per shard;
-/// values above the shard count are clamped).  The calling thread
-/// participates as a worker.  Termination: runs until every shard's event
-/// queue and every mailbox is empty (full drain — this is what makes the
-/// pool leak audit meaningful), or until the epoch horizon reaches
-/// config.max_sim_time, whichever comes first.  Flow records are returned
-/// sorted by flow id, a canonical order independent of completion order.
+/// Runs `config` partitioned at config.shard_granularity on `workers`
+/// threads (0 = one per shard; values above the shard count are clamped).
+/// The calling thread participates as a worker.  Termination, for this and
+/// run_datacenter() alike: runs until every shard's event queue and every
+/// mailbox is empty (full drain — this is what makes the pool leak audit
+/// meaningful), or until the epoch horizon reaches config.max_sim_time,
+/// whichever comes first.  Flow records are returned sorted by flow id, a
+/// canonical order independent of completion order.  Throws
+/// std::invalid_argument on an invalid config (see run_datacenter()).
 DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
                                         int workers,
                                         ShardedRunStats* stats = nullptr);

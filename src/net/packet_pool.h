@@ -67,9 +67,9 @@ class FASTCC_SHARD_LOCAL PacketPool {
 
   /// Debug-build teardown leak audit (opt-in): a pool destructed with live
   /// packets then fails an assert instead of silently dropping the leak.
-  /// Off by default — drivers that stop() mid-flight legitimately destruct
-  /// pools with packets still live; the space-parallel runner, which drains
-  /// every shard before teardown, turns it on per shard.
+  /// Off by default — runs cut off at a simulated-time deadline
+  /// legitimately destruct pools with packets still live; the datacenter
+  /// engine turns it on per shard once a run has fully drained.
   ~PacketPool() {
     assert((!audit_teardown_ || live_ == 0) &&
            "PacketPool destroyed with live packets (cross-shard leak?)");

@@ -32,11 +32,12 @@
 namespace fastcc::net {
 
 /// Node -> shard assignment for a sharded run.  Built once from the
-/// topology (see topo::pod_shard_map) and read-only afterwards, so every
-/// worker may consult it concurrently.
+/// topology (see topo::shard_map_for; a serial run puts every node in
+/// shard 0) and read-only afterwards, so every worker may consult it
+/// concurrently.
 struct ShardMap {
   FASTCC_SHARD_SHARED_RO std::vector<std::int32_t> shard;  ///< By NodeId.
-  int count = 1;                    ///< Number of shards (== pods).
+  int count = 1;                    ///< Number of shards.
 
   int of(NodeId id) const {
     assert(id < shard.size());

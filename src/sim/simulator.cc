@@ -3,8 +3,7 @@
 namespace fastcc::sim {
 
 Time Simulator::run(Time until) {
-  stopped_ = false;
-  while (!stopped_) {
+  while (true) {
     // take_next performs a single ordering lookup per event (the old
     // next_time + pop_and_run pair scanned twice) and hands the callback
     // back un-invoked, so the clock is advanced before the event runs.
@@ -15,10 +14,10 @@ Time Simulator::run(Time until) {
     cb();
     ++executed_;
   }
-  // Unless stopped mid-run, a bounded run() leaves the clock at the deadline
-  // (whether events remain pending or the queue drained early), so callers
-  // can interleave run(t) with direct state changes at known times.
-  if (!stopped_ && until != std::numeric_limits<Time>::max() && until > now_) {
+  // A bounded run() leaves the clock at the deadline (whether events remain
+  // pending or the queue drained early), so callers can interleave run(t)
+  // with direct state changes at known times.
+  if (until != std::numeric_limits<Time>::max() && until > now_) {
     now_ = until;
   }
   return now_;

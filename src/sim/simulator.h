@@ -2,7 +2,7 @@
 //
 // A Simulator owns the clock and the event queue.  Components hold a
 // reference to it and schedule callbacks; run() drains events in timestamp
-// order until the queue empties, a deadline passes, or stop() is called.
+// order until the queue empties or a deadline passes.
 #pragma once
 
 #include <cassert>
@@ -53,9 +53,6 @@ class Simulator {
   /// Events stamped exactly `until` still run.  Returns the final clock.
   Time run(Time until = std::numeric_limits<Time>::max());
 
-  /// Requests that run() return after the current event completes.
-  void stop() { stopped_ = true; }
-
   /// Number of events executed so far (instrumentation / perf tests).
   std::uint64_t events_executed() const { return executed_; }
 
@@ -64,7 +61,6 @@ class Simulator {
  private:
   Queue events_;
   Time now_ = 0;
-  bool stopped_ = false;
   std::uint64_t executed_ = 0;
 };
 

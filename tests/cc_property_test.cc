@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include "cc/engine.h"
@@ -21,6 +22,13 @@ struct FuzzCase {
   const char* protocol;
   std::uint64_t seed;
 };
+
+// Without a printer GoogleTest lists the raw bytes of the `protocol` pointer
+// after each case name, so the listed names would move with the binary's
+// layout. Print the values instead.
+void PrintTo(const FuzzCase& c, std::ostream* os) {
+  *os << c.protocol << "/" << c.seed;
+}
 
 class CcFuzz : public ::testing::TestWithParam<FuzzCase> {
  protected:

@@ -1,14 +1,19 @@
-// Space-parallel (pod-sharded) datacenter runs.
+// The datacenter engine: space-parallel (pod- or rack-sharded) runs, and
+// serial runs as its single-shard case.
 //
 // The contract under test: run_datacenter_sharded() is a pure function of
 // (config) — the worker count changes wall-clock only, never a single byte
-// of the result — and a fully drained run leaves every shard's packet pool
-// empty even though packets hop between pools at every pod boundary.
+// of the result — a fully drained run leaves every shard's packet pool
+// empty even though packets hop between pools at every pod boundary, and
+// run_datacenter() is the same engine with one shard.
 #include "experiments/sharded.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "workload/distributions.h"
 
@@ -65,7 +70,7 @@ TEST(ShardedDatacenter, CrossShardHandoffLeakFree) {
   EXPECT_EQ(r.unfinished, 0u);
   EXPECT_TRUE(stats.drained);
   EXPECT_EQ(stats.shards, 8);
-  EXPECT_EQ(stats.lookahead, 1 * sim::kMicrosecond);
+  EXPECT_EQ(stats.lookahead_min, 1 * sim::kMicrosecond);
   // Hadoop traffic over 8 pods crosses boundaries constantly; a run where
   // nothing transferred would mean the boundary wiring silently fell back
   // to intra-shard delivery.
@@ -85,14 +90,11 @@ TEST(ShardedDatacenter, CrossShardHandoffLeakFree) {
 // same-timestamp ties relative to the serial schedule.
 TEST(ShardedDatacenter, MatchesSerialFlowPopulation) {
   const DatacenterConfig c = sharded_config();
-  DatacenterResult serial = run_datacenter(c);
+  const DatacenterResult serial = run_datacenter(c);
   const DatacenterResult sharded = run_datacenter_sharded(c, 8);
   EXPECT_EQ(serial.unfinished, 0u);
   EXPECT_EQ(sharded.unfinished, 0u);
-  std::sort(serial.flows.begin(), serial.flows.end(),
-            [](const stats::FlowRecord& a, const stats::FlowRecord& b) {
-              return a.id < b.id;
-            });
+  // Both entry points return records in flow-id order.
   ASSERT_EQ(serial.flows.size(), sharded.flows.size());
   double serial_mean = 0.0;
   double sharded_mean = 0.0;
@@ -168,8 +170,7 @@ TEST(ShardedDatacenter, TorGranularityDrainsLeakFree) {
   EXPECT_TRUE(stats.drained);
   EXPECT_EQ(stats.shards, 16);
   // Homogeneous 1 us links: every pair of the closed matrix collapses to
-  // small multiples of the base delay, and the legacy quantum is its min.
-  EXPECT_EQ(stats.lookahead, 1 * sim::kMicrosecond);
+  // small multiples of the base delay, the smallest being one link.
   EXPECT_EQ(stats.lookahead_min, 1 * sim::kMicrosecond);
   EXPECT_GE(stats.lookahead_max, stats.lookahead_min);
   EXPECT_GT(stats.cross_shard_transfers, 1000u);
@@ -272,6 +273,128 @@ TEST(ShardedDatacenter, IdleShardFastForward) {
   for (int s = 0; s < 16; ++s) {
     EXPECT_EQ(s1.pool_live_at_end[s], 0u) << "shard " << s;
   }
+}
+
+// Serial runs are the single-shard case of the same engine.  A one-pod
+// tree already yields one shard at pod grain, so both entry points run the
+// identical partition and must agree on every observable, event count and
+// record order included.
+DatacenterConfig one_pod_config(Variant v) {
+  DatacenterConfig c = sharded_config();
+  c.variant = v;
+  c.topo = topo::scaled_fat_tree();
+  c.topo.pods = 1;
+  c.generate_duration = 50 * sim::kMicrosecond;
+  // A variant whose timers never quiesce fails the drain check below at
+  // this cap instead of spinning to the 400 ms default.
+  c.max_sim_time = 20 * sim::kMillisecond;
+  return c;
+}
+
+TEST(ShardedDatacenter, SerialIsTheSingleShardCase) {
+  const DatacenterConfig c = one_pod_config(Variant::kHpccVaiSf);
+  ShardedRunStats stats;
+  const DatacenterResult serial = run_datacenter(c);
+  const DatacenterResult sharded = run_datacenter_sharded(c, 1, &stats);
+  EXPECT_EQ(stats.shards, 1);
+  ASSERT_GT(serial.flows.size(), 10u);
+  expect_identical(serial, sharded);
+}
+
+// Every variant's single-shard run must terminate by full drain, not by the
+// simulated-time cap, and leave its packet pool empty.
+class ShardedDatacenterEveryVariant : public ::testing::TestWithParam<Variant> {
+};
+
+TEST_P(ShardedDatacenterEveryVariant, SingleShardRunDrainsLeakFree) {
+  ShardedRunStats stats;
+  const DatacenterResult r =
+      run_datacenter_sharded(one_pod_config(GetParam()), 1, &stats);
+  ASSERT_GT(r.flows.size(), 0u);
+  EXPECT_EQ(r.unfinished, 0u);
+  EXPECT_TRUE(stats.drained);
+  ASSERT_EQ(stats.pool_live_at_end.size(), 1u);
+  EXPECT_EQ(stats.pool_live_at_end[0], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, ShardedDatacenterEveryVariant,
+    ::testing::Values(Variant::kHpcc, Variant::kHpcc1G, Variant::kHpccProb,
+                      Variant::kHpccVai, Variant::kHpccSf, Variant::kHpccVaiSf,
+                      Variant::kSwift, Variant::kSwift1G, Variant::kSwiftProb,
+                      Variant::kSwiftVai, Variant::kSwiftSf,
+                      Variant::kSwiftVaiSf, Variant::kSwiftHai,
+                      Variant::kDcqcn, Variant::kTimely, Variant::kDctcp),
+    [](const ::testing::TestParamInfo<Variant>& param) {
+      std::string name = variant_name(param.param);
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
+
+// end_time is the finish of the last flow — not a shard clock, which parks
+// at an epoch horizon (or lags, when skipped) and runs on through the
+// drain tail.
+TEST(ShardedDatacenter, EndTimeIsLastFlowFinish) {
+  ShardedRunStats stats;
+  const DatacenterResult r =
+      run_datacenter_sharded(sharded_config(), 2, &stats);
+  ASSERT_TRUE(stats.drained);
+  ASSERT_EQ(r.unfinished, 0u);
+  sim::Time last = 0;
+  for (const stats::FlowRecord& f : r.flows) {
+    last = std::max(last, f.start_time + f.fct);
+  }
+  EXPECT_EQ(r.end_time, last);
+}
+
+// Config validation is always on (the optimized build has no asserts) and
+// shared by both entry points.
+void expect_rejected(const DatacenterConfig& c) {
+  EXPECT_THROW(run_datacenter(c), std::invalid_argument);
+  EXPECT_THROW(run_datacenter_sharded(c, 2), std::invalid_argument);
+}
+
+DatacenterConfig preset_config(std::vector<net::FlowSpec> flows) {
+  DatacenterConfig c = sharded_config();
+  c.components.clear();
+  c.preset_flows = std::move(flows);
+  return c;
+}
+
+TEST(ShardedDatacenter, RejectsEmptyWorkload) {
+  DatacenterConfig c = sharded_config();
+  c.components.clear();
+  expect_rejected(c);
+}
+
+TEST(ShardedDatacenter, RejectsLoadOutsideUnitInterval) {
+  DatacenterConfig c = sharded_config();
+  for (const double load :
+       {0.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(load);
+    c.load = load;
+    expect_rejected(c);
+  }
+}
+
+TEST(ShardedDatacenter, RejectsNonPositiveMaxSimTime) {
+  DatacenterConfig c = sharded_config();
+  c.max_sim_time = 0;
+  expect_rejected(c);
+}
+
+TEST(ShardedDatacenter, RejectsPresetHostOutOfRange) {
+  // sharded_scaled_fat_tree has 64 hosts: indices 0-63.
+  expect_rejected(preset_config({{1, 0, 64, 10000, 0}}));
+  expect_rejected(preset_config({{1, 1000, 3, 10000, 0}}));
+}
+
+TEST(ShardedDatacenter, RejectsPresetSelfFlow) {
+  expect_rejected(preset_config({{1, 5, 5, 10000, 0}}));
+}
+
+TEST(ShardedDatacenter, RejectsDuplicatePresetFlowId) {
+  expect_rejected(preset_config({{1, 0, 5, 10000, 0}, {1, 8, 40, 10000, 0}}));
 }
 
 }  // namespace

@@ -45,21 +45,6 @@ TEST(Simulator, EventExactlyAtDeadlineRuns) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Simulator, StopEndsRunEarly) {
-  Simulator s;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    s.at(i, [&] {
-      ++count;
-      if (count == 3) s.stop();
-    });
-  }
-  s.run();
-  EXPECT_EQ(count, 3);
-  s.run();  // resume drains the rest
-  EXPECT_EQ(count, 10);
-}
-
 TEST(Simulator, CountsExecutedEvents) {
   Simulator s;
   for (int i = 0; i < 17; ++i) s.at(i, [] {});
