@@ -3,7 +3,8 @@
 // Runs Poisson CDF-driven traffic over the fat-tree and records a FlowRecord
 // per completed flow; the slowdown tables in stats/fct.h turn those into the
 // paper's FCT-slowdown-vs-size figures.  run_datacenter() is the
-// single-shard case of the engine in experiments/sharded.h.
+// single-shard case of the engine in experiments/sharded.h, which also
+// runs the incast experiments.
 #pragma once
 
 #include <cstdint>

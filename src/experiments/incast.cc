@@ -3,18 +3,43 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <map>
+#include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <string>
-#include <utility>
-
-#include "stats/percentile.h"
+#include <vector>
 
 #include "core/fairness.h"
+#include "experiments/engine.h"
 #include "net/monitor.h"
-#include "net/network.h"
-#include "sim/simulator.h"
+#include "stats/percentile.h"
 
 namespace fastcc::exp {
+
+namespace {
+
+/// Probe ids start here, clear of the incast's 1..senders.
+constexpr net::FlowId kFirstProbeId = 1'000'000;
+
+/// Always-on checks: the host indices below must exist, and a sampler with
+/// a non-positive interval would re-arm at the same instant forever.
+void validate(const IncastConfig& config) {
+  auto fail = [](const std::string& what) {
+    throw std::invalid_argument("incast config: " + what);
+  };
+  const int senders = config.pattern.senders;
+  if (senders < 1) fail("senders must be at least 1");
+  if (config.star.host_count < senders + 1) {
+    fail("star has " + std::to_string(config.star.host_count) + " hosts, " +
+         std::to_string(senders) + " senders need " +
+         std::to_string(senders + 1));
+  }
+  if (config.jain_sample_interval <= 0 || config.queue_sample_interval <= 0) {
+    fail("sample intervals must be positive");
+  }
+}
+
+}  // namespace
 
 sim::Time IncastResult::median_probe_fct() const {
   if (probes.empty()) return -1;
@@ -23,13 +48,6 @@ sim::Time IncastResult::median_probe_fct() const {
     est.add(static_cast<double>(p.fct()));
   }
   return static_cast<sim::Time>(est.median());
-}
-
-double IncastResult::mean_utilization() const {
-  if (utilization.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& p : utilization.points()) sum += p.value;
-  return sum / static_cast<double>(utilization.size());
 }
 
 sim::Time IncastResult::finish_spread() const {
@@ -41,209 +59,117 @@ sim::Time IncastResult::finish_spread() const {
 }
 
 IncastResult run_incast(const IncastConfig& config) {
-  sim::Simulator simulator;
-  net::Network network(simulator, config.seed);
+  validate(config);
+
+  // Host indices: senders 0..senders-1, the receiver at `senders`, and
+  // with probing one extra, last host that sends the probes.
+  const int senders = config.pattern.senders;
+  const auto receiver = static_cast<net::NodeId>(senders);
   topo::StarParams star_params = config.star;
-  if (config.probe_count > 0) ++star_params.host_count;  // the prober
-  topo::Star star = build_star(network, star_params);
-  assert(static_cast<int>(star.hosts.size()) >= config.pattern.senders + 1);
+  if (config.probe_count > 0) ++star_params.host_count;
 
-  if (variant_needs_red(config.variant)) {
-    network.set_red_all(red_params_for(config.variant));
-    // ECN-driven deployments rely on PFC for losslessness while the
-    // protocol converges (RDMA practice for DCQCN; harmless for DCTCP).
-    net::PfcParams pfc;
-    pfc.pause_bytes = 200'000;
-    pfc.resume_bytes = 100'000;
-    network.set_pfc_all(pfc);
+  DatacenterConfig dc;
+  dc.variant = config.variant;
+  dc.seed = config.seed;
+  dc.max_sim_time = config.max_sim_time;
+  // Probes go first, so same-timestamp starts keep the probe-first order.
+  for (int i = 0; i < config.probe_count; ++i) {
+    net::FlowSpec spec;
+    spec.id = kFirstProbeId + static_cast<net::FlowId>(i);
+    spec.src = static_cast<net::NodeId>(star_params.host_count - 1);
+    spec.dst = receiver;
+    spec.size_bytes = config.probe_bytes;
+    spec.start_time = (i + 1) * config.probe_interval;
+    dc.preset_flows.push_back(spec);
   }
-
-  if (config.buffer_limit_bytes > 0) {
-    network.set_buffer_limit_all(config.buffer_limit_bytes);
-  }
-  if (config.pfc.enabled()) network.set_pfc_all(config.pfc);
-
-  CcFactory factory(network, config.variant, /*small_topology=*/true);
-
-  // With probing enabled the extra (last) host probes; the receiver is the
-  // host the incast pattern expects at index senders.
-  net::Host* receiver = star.hosts[config.pattern.senders];
-  net::Host* prober =
-      config.probe_count > 0 ? star.hosts.back() : nullptr;
-  std::vector<net::NodeId> sender_ids;
-  for (int i = 0; i < config.pattern.senders; ++i) {
-    sender_ids.push_back(star.hosts[i]->id());
-  }
+  std::vector<net::NodeId> sender_ids(static_cast<std::size_t>(senders));
+  std::iota(sender_ids.begin(), sender_ids.end(), net::NodeId{0});
   const std::vector<net::FlowSpec> specs =
-      workload::make_incast(config.pattern, sender_ids, receiver->id());
+      workload::make_incast(config.pattern, sender_ids, receiver);
+  dc.preset_flows.insert(dc.preset_flows.end(), specs.begin(), specs.end());
 
+  // The samplers re-arm until every incast flow has completed; probes do
+  // not hold them open.
   IncastResult result;
-  int completed = 0;
-  const int total = static_cast<int>(specs.size());
-  const net::FlowId first_probe_id = 1'000'000;
-
-  // Completion: record timings; all senders share the callback.  Probe
-  // flows are kept separate and do not gate the run's samplers.
-  for (net::Host* h : star.hosts) {
-    h->set_completion_callback([&](const net::FlowTx& f) {
-      FlowTiming t;
-      t.id = f.spec.id;
-      t.start = f.spec.start_time;
-      t.finish = f.finish_time;
-      if (f.spec.id >= first_probe_id) {
-        result.probes.push_back(t);
-        return;
-      }
-      result.flows.push_back(t);
-      ++completed;
-    });
-  }
-
-  // Paths are stored in a node-stable ordered map that outlives the
-  // schedule, so flow-start closures can capture `const PathInfo&` (8 bytes)
-  // instead of a by-value PathInfo and stay within the scheduler's inline
-  // buffer.
-  std::map<std::pair<net::NodeId, net::NodeId>, net::PathInfo> path_cache;
-  auto path_of = [&](net::NodeId src, net::NodeId dst) -> const net::PathInfo& {
-    auto key = std::make_pair(src, dst);
-    auto it = path_cache.find(key);
-    if (it == path_cache.end()) {
-      it = path_cache.emplace(key, network.path(src, dst)).first;
-    }
-    return it->second;
-  };
-
-  // Schedule probe flows from the dedicated prober host.
-  if (prober != nullptr) {
-    const net::PathInfo& probe_path = path_of(prober->id(), receiver->id());
-    for (int i = 0; i < config.probe_count; ++i) {
-      net::FlowSpec spec;
-      spec.id = first_probe_id + static_cast<net::FlowId>(i);
-      spec.src = prober->id();
-      spec.dst = receiver->id();
-      spec.size_bytes = config.probe_bytes;
-      spec.start_time = (i + 1) * config.probe_interval;
-      // config/factory/probe_path outlive the schedule: simulator.run()
-      // below drains every probe-start event before this scope exits.  The
-      // path is captured by reference so the closure stays within the
-      // scheduler's 64-byte inline buffer.
-      simulator.at(spec.start_time,
-                   // lint:allow(ref-capture-callback -- run() drains first)
-                   [&config, &factory, prober, spec, &probe_path] {
-                     net::FlowTx flow;
-                     flow.spec = spec;
-                     flow.line_rate = prober->port(0).bandwidth();
-                     flow.base_rtt = probe_path.base_rtt;
-                     flow.path_hops = probe_path.hops;
-                     if (config.custom_cc) {
-                       flow.cc = config.custom_cc(probe_path);
-                     } else {
-                       flow.cc = factory.make(probe_path);
-                     }
-                     prober->start_flow(std::move(flow));
-                   });
-    }
-  }
-
-  // Schedule flow starts.
-  for (const net::FlowSpec& spec : specs) {
-    net::Host* src = star.hosts[spec.src - star.hosts.front()->id()];
-    assert(src->id() == spec.src);
-    const net::PathInfo& path = path_of(spec.src, spec.dst);
-    // lint:allow(ref-capture-callback -- run() drains before scope exit)
-    simulator.at(spec.start_time, [&config, &factory, src, spec, &path] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      if (config.custom_cc) {
-        flow.cc = config.custom_cc(path);
-      } else {
-        flow.cc = factory.make(path);
-      }
-      src->start_flow(std::move(flow));
-    });
-  }
-
-  // Bottleneck queue: the hub's egress port toward the receiver.
-  net::Port* bottleneck = nullptr;
-  for (int i = 0; i < star.hub->port_count(); ++i) {
-    if (star.hub->port(i).peer() == receiver) {
-      bottleneck = &star.hub->port(i);
-      break;
-    }
-  }
-  assert(bottleneck != nullptr);
-
-  // Periodic samplers; they re-arm until every flow completes.
-  result.jain = stats::TimeSeries(std::string(variant_name(config.variant)));
-  result.queue_bytes =
-      stats::TimeSeries(std::string(variant_name(config.variant)));
-
+  const std::string label = variant_name(config.variant);
+  result.jain = stats::TimeSeries(label);
+  std::size_t completed = 0;
+  auto running = [&] { return completed < specs.size(); };
   std::vector<std::uint64_t> last_acked(specs.size(), 0);
-  std::function<void()> sample_jain = [&] {
-    const sim::Time now = simulator.now();
-    const sim::Time window_start = now - config.jain_sample_interval;
-    std::vector<double> throughput;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const net::Host* src =
-          star.hosts[specs[i].src - star.hosts.front()->id()];
-      const net::FlowTx* f = src->flow(specs[i].id);
-      if (f == nullptr) continue;  // not started yet
-      const std::uint64_t delta = f->cum_acked - last_acked[i];
-      last_acked[i] = f->cum_acked;
-      // Only flows active for the whole window participate; flows that start
-      // or finish mid-window would otherwise be misread as slow.
-      const bool full_window = f->spec.start_time <= window_start &&
-                               (!f->finished() || f->finish_time >= now);
-      if (!full_window) continue;
-      throughput.push_back(static_cast<double>(delta));
-    }
-    if (!throughput.empty()) {
-      result.jain.add(now, core::jain_index(throughput));
-    }
-    if (completed < total) {
-      simulator.after(config.jain_sample_interval, sample_jain);
-    }
+  std::function<void()> sample_jain;
+  std::optional<net::QueueMonitor> queue;
+  std::optional<net::UtilizationMonitor> util;
+
+  EngineInput input;
+  input.config = &dc;
+  input.star = &star_params;
+  input.buffer_limit_bytes = config.buffer_limit_bytes;
+  input.pfc = config.pfc;
+  input.custom_cc = config.custom_cc;
+  input.on_complete = [&](const net::FlowTx& f) {
+    if (f.spec.id < kFirstProbeId) ++completed;
   };
-  simulator.after(config.jain_sample_interval, sample_jain);
+  input.attach_samplers = [&](sim::Simulator& sim, const topo::Star& star) {
+    sample_jain = [&] {
+      const sim::Time now = sim.now();
+      const sim::Time window_start = now - config.jain_sample_interval;
+      std::vector<double> throughput;
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const net::FlowTx* f = star.hosts[specs[i].src]->flow(specs[i].id);
+        if (f == nullptr) continue;  // not started yet
+        const std::uint64_t delta = f->cum_acked - last_acked[i];
+        last_acked[i] = f->cum_acked;
+        // Only flows active for the whole window participate; flows that
+        // start or finish mid-window would otherwise be misread as slow.
+        const bool full_window = f->spec.start_time <= window_start &&
+                                 (!f->finished() || f->finish_time >= now);
+        if (!full_window) continue;
+        throughput.push_back(static_cast<double>(delta));
+      }
+      if (!throughput.empty()) {
+        result.jain.add(now, core::jain_index(throughput));
+      }
+      if (running()) sim.after(config.jain_sample_interval, sample_jain);
+    };
+    sim.after(config.jain_sample_interval, sample_jain);
 
-  std::function<void()> sample_queue = [&] {
-    result.queue_bytes.add(simulator.now(),
-                           static_cast<double>(bottleneck->data_queue_bytes()));
-    if (completed < total) {
-      simulator.after(config.queue_sample_interval, sample_queue);
-    }
+    // Bottleneck: the hub's egress port toward the receiver.
+    const net::Host* rx = star.hosts[receiver];
+    int port = 0;
+    while (star.hub->port(port).peer() != rx) ++port;
+    const net::Port& bottleneck = star.hub->port(port);
+    queue.emplace(sim, bottleneck, config.queue_sample_interval, label,
+                  running);
+    queue->start();
+    util.emplace(sim, bottleneck, config.jain_sample_interval, label, running);
+    // Sampling rides the hub's timing wheel: one global event per expiry
+    // instead of a standing entry in the calendar queue.
+    util->ride_wheel(&star.hub->wheel());
+    util->start();
   };
-  simulator.after(config.queue_sample_interval, sample_queue);
 
-  net::UtilizationMonitor util(simulator, *bottleneck,
-                               config.jain_sample_interval,
-                               variant_name(config.variant),
-                               [&] { return completed < total; });
-  // Sampling rides the hub's timing wheel: one global event per expiry
-  // instead of a standing entry in the calendar queue.
-  util.ride_wheel(&star.hub->wheel());
-  util.start();
+  const DatacenterResult run = run_engine(input);
+  if (run.unfinished > 0) {
+    throw std::runtime_error("incast: " + std::to_string(run.unfinished) +
+                             " of " + std::to_string(dc.preset_flows.size()) +
+                             " flows unfinished at max_sim_time");
+  }
 
-  simulator.run(config.max_sim_time);
-  result.utilization = util.series();
-  assert(completed == total && "incast did not complete within the time cap");
-
-  std::sort(result.flows.begin(), result.flows.end(),
-            [](const FlowTiming& a, const FlowTiming& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.id < b.id;
-            });
-  result.drops = network.total_drops();
-  result.completion_time =
-      std::max_element(result.flows.begin(), result.flows.end(),
-                       [](const FlowTiming& a, const FlowTiming& b) {
-                         return a.finish < b.finish;
-                       })
-          ->finish;
-  result.events_executed = simulator.events_executed();
+  // Records are id-sorted: the incast flows (ids 1..senders, which
+  // make_incast assigns in start order), then the probes.
+  for (const stats::FlowRecord& r : run.flows) {
+    const FlowTiming t{r.id, r.start_time, r.start_time + r.fct};
+    if (r.id >= kFirstProbeId) {
+      result.probes.push_back(t);
+      continue;
+    }
+    result.flows.push_back(t);
+    result.completion_time = std::max(result.completion_time, t.finish);
+  }
+  result.queue_bytes = queue->series();
+  result.utilization = util->series();
+  result.drops = run.drops;
+  result.events_executed = run.events_executed;
   return result;
 }
 

@@ -3,7 +3,10 @@
 // Runs a staggered N-to-1 incast on the single-switch star and records the
 // three quantities the paper plots: the Jain fairness index over time, the
 // bottleneck egress queue depth over time, and each flow's start/finish
-// times.
+// times.  It runs on the same engine as the fat-tree experiments
+// (experiments/engine.h): the star is that engine's one-shard topology, the
+// incast and its probes are preset flows, and the samplers attach to the
+// engine's simulator before the run.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +67,7 @@ struct FlowTiming {
 
 struct IncastResult {
   std::vector<FlowTiming> flows;     ///< In start order.
-  std::vector<FlowTiming> probes;    ///< Small-flow probes (if configured).
+  std::vector<FlowTiming> probes;    ///< Small-flow probes, in start order.
   stats::TimeSeries jain;            ///< Jain index, one point per interval.
   stats::TimeSeries queue_bytes;     ///< Bottleneck egress queue depth.
   stats::TimeSeries utilization;     ///< Bottleneck link utilization [0,1].
@@ -74,7 +77,7 @@ struct IncastResult {
 
   /// Mean bottleneck utilization while any flow was active — the paper's
   /// "maintain high throughput" check.
-  double mean_utilization() const;
+  double mean_utilization() const { return utilization.mean_after(0); }
 
   /// Condensed convergence metrics for the Jain series.
   core::ConvergenceSummary convergence(double threshold = 0.9) const {
@@ -93,6 +96,10 @@ struct IncastResult {
   }
 };
 
+/// Throws std::invalid_argument when the pattern has no sender, when the
+/// star lacks a host for every sender plus the receiver, or when a sample
+/// interval is not positive; throws std::runtime_error naming the count
+/// when flows (probes included) are still unfinished at max_sim_time.
 IncastResult run_incast(const IncastConfig& config);
 
 }  // namespace fastcc::exp

@@ -1,4 +1,4 @@
-#include "experiments/sharded.h"
+#include "experiments/engine.h"
 
 #include <algorithm>
 #include <cassert>
@@ -25,7 +25,6 @@ namespace {
 /// epoch loop finishes.
 struct ShardState {
   stats::FctRecorder recorder;
-  std::size_t completed = 0;
   std::vector<net::CrossShardPacket> inbox;  ///< Reused drain scratch.
 };
 
@@ -202,9 +201,9 @@ FASTCC_EPOCH_PUBLISH bool plan_epoch(
 }
 
 /// Always-on config checks (the optimized build compiles asserts out).
-/// Preset host indices are checked before they index tree.hosts, and
+/// Preset host indices are checked before they index the host list, and
 /// preset ids before they key the flow -> path map.
-void validate(const DatacenterConfig& config) {
+void validate(const DatacenterConfig& config, int host_count) {
   auto fail = [](const std::string& what) {
     throw std::invalid_argument("datacenter config: " + what);
   };
@@ -216,7 +215,7 @@ void validate(const DatacenterConfig& config) {
     fail("load " + std::to_string(config.load) + " outside (0, 1]");
   }
   if (config.max_sim_time <= 0) fail("max_sim_time must be positive");
-  const auto hosts = static_cast<net::NodeId>(config.topo.host_count());
+  const auto hosts = static_cast<net::NodeId>(host_count);
   std::set<net::FlowId> ids;
   for (const net::FlowSpec& spec : config.preset_flows) {
     const std::string flow = "preset flow " + std::to_string(spec.id);
@@ -228,12 +227,13 @@ void validate(const DatacenterConfig& config) {
   }
 }
 
-/// The one fat-tree engine behind both entry points.  `single_shard` puts
-/// every node in shard 0 (run_datacenter); otherwise the tree is
-/// partitioned at config.shard_granularity (run_datacenter_sharded).
-DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
-                            int workers, ShardedRunStats* stats_out) {
-  validate(config);
+}  // namespace
+
+DatacenterResult run_engine(const EngineInput& input,
+                            ShardedRunStats* stats_out) {
+  const DatacenterConfig& config = *input.config;
+  validate(config, input.star != nullptr ? input.star->host_count
+                                         : config.topo.host_count());
 
   // Private event queue and packet arena per shard.  unique_ptr because
   // neither type is movable; addresses must also stay stable — ports and
@@ -243,16 +243,23 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
   std::vector<std::unique_ptr<sim::Simulator>> sims;
   sims.push_back(std::make_unique<sim::Simulator>());
   net::Network network(*sims[0], config.seed);
-  topo::FatTree tree = build_fat_tree(network, config.topo);
+  topo::Star star;
+  std::vector<net::Host*> hosts;  // by host index
   net::ShardMap smap;
-  if (single_shard) {
-    smap.shard.assign(network.node_count(), 0);
+  if (input.star != nullptr) {
+    star = build_star(network, *input.star);
+    hosts = star.hosts;
   } else {
-    smap = topo::shard_map_for(tree, config.topo, network.node_count(),
-                               config.shard_granularity);
+    topo::FatTree tree = build_fat_tree(network, config.topo);
+    hosts = tree.hosts;
+    if (input.partition) {
+      smap = topo::shard_map_for(tree, config.topo, network.node_count(),
+                                 config.shard_granularity);
+    }
   }
+  if (smap.shard.empty()) smap.shard.assign(network.node_count(), 0);
   const int shards = smap.count;
-  if (workers <= 0) workers = shards;
+  const int workers = input.workers > 0 ? input.workers : shards;
 
   std::vector<std::unique_ptr<net::PacketPool>> pools;
   pools.reserve(static_cast<std::size_t>(shards));
@@ -270,8 +277,16 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
     pfc.resume_bytes = 100'000;
     network.set_pfc_all(pfc);
   }
+  if (input.buffer_limit_bytes > 0) {
+    network.set_buffer_limit_all(input.buffer_limit_bytes);
+  }
+  if (input.pfc.enabled()) network.set_pfc_all(input.pfc);
 
-  CcFactory factory(network, config.variant, /*small_topology=*/false);
+  CcFactory factory(network, config.variant,
+                    /*small_topology=*/input.star != nullptr);
+  auto make_cc = [&](const net::PathInfo& path, sim::Rng* rng) {
+    return input.custom_cc ? input.custom_cc(path) : factory.make(path, rng);
+  };
 
   // Traffic generation forks the network stream first, so a given seed
   // produces the same flow set under every partition.
@@ -283,7 +298,7 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
     traffic.components = config.components;
     traffic.load = config.load;
     traffic.host_bandwidth = config.topo.host_bandwidth;
-    traffic.host_count = static_cast<int>(tree.hosts.size());
+    traffic.host_count = static_cast<int>(hosts.size());
     traffic.duration = config.generate_duration;
     sim::Rng traffic_rng = network.rng().fork();
     specs = workload::generate_poisson_traffic(traffic, traffic_rng);
@@ -361,37 +376,41 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
   std::vector<ShardState> shard_state(static_cast<std::size_t>(shards));
 
   // Completion callbacks write only the owning shard's state — no shared
-  // counter; termination is the drain check at the barrier.
-  for (net::Host* h : tree.hosts) {
+  // counter; termination is the drain check at the barrier.  Only
+  // one-shard runs set input.on_complete.
+  for (net::Host* h : hosts) {
     ShardState* st = &shard_state[static_cast<std::size_t>(smap.of(h->id()))];
-    h->set_completion_callback([st, &flow_paths](const net::FlowTx& f) {
+    h->set_completion_callback([st, &flow_paths, &input](const net::FlowTx& f) {
       st->recorder.record(f, *flow_paths.at(f.spec.id));
-      ++st->completed;
+      if (input.on_complete) input.on_complete(f);
     });
   }
 
   for (net::FlowSpec& spec : specs) {
     // Remap generator host indices to topology node ids.
-    net::Host* src = tree.hosts[spec.src];
-    net::Host* dst = tree.hosts[spec.dst];
+    net::Host* src = hosts[spec.src];
+    net::Host* dst = hosts[spec.dst];
     spec.src = src->id();
     spec.dst = dst->id();
     const net::PathInfo& path = path_of(spec.src, spec.dst);
     flow_paths.emplace(spec.id, &path);
     const std::size_t s = static_cast<std::size_t>(smap.of(spec.src));
     sim::Rng* rng = &shard_rngs[s];
-    // The factory and cached path outlive the schedule: the epoch loop
+    // make_cc and the cached path outlive the schedule: the epoch loop
     // below drains every flow-start event before this scope exits.
     // lint:allow(ref-capture-callback -- epoch loop drains before scope exit)
-    sims[s]->at(spec.start_time, [&factory, src, spec, &path, rng] {
+    sims[s]->at(spec.start_time, [&make_cc, src, spec, &path, rng] {
       net::FlowTx flow;
       flow.spec = spec;
       flow.line_rate = src->port(0).bandwidth();
       flow.base_rtt = path.base_rtt;
       flow.path_hops = path.hops;
-      flow.cc = factory.make(path, rng);
+      flow.cc = make_cc(path, rng);
       src->start_flow(std::move(flow));
     });
+  }
+  if (input.star != nullptr && input.attach_samplers) {
+    input.attach_samplers(*sims[0], star);
   }
 
   // ---- The epoch loop ----------------------------------------------------
@@ -421,9 +440,7 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
 
   // ---- Merge -------------------------------------------------------------
   DatacenterResult result;
-  std::size_t completed = 0;
   for (const ShardState& st : shard_state) {
-    completed += st.completed;
     result.flows.insert(result.flows.end(), st.recorder.records().begin(),
                         st.recorder.records().end());
   }
@@ -434,7 +451,7 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
             });
   result.drops = network.total_drops();
   for (const auto& sim : sims) result.events_executed += sim->events_executed();
-  result.unfinished = total - completed;
+  result.unfinished = total - result.flows.size();
   // The experiment ends when its last flow does.  Shard clocks are no
   // measure of that: they park at epoch horizons, skipped shards lag, and
   // the drain tail runs past the last completion.
@@ -473,16 +490,20 @@ DatacenterResult run_engine(const DatacenterConfig& config, bool single_shard,
   return result;
 }
 
-}  // namespace
-
 DatacenterResult run_datacenter(const DatacenterConfig& config) {
-  return run_engine(config, /*single_shard=*/true, /*workers=*/1, nullptr);
+  EngineInput input;
+  input.config = &config;
+  return run_engine(input);
 }
 
 DatacenterResult run_datacenter_sharded(const DatacenterConfig& config,
                                         int workers,
                                         ShardedRunStats* stats_out) {
-  return run_engine(config, /*single_shard=*/false, workers, stats_out);
+  EngineInput input;
+  input.config = &config;
+  input.partition = true;
+  input.workers = workers;
+  return run_engine(input, stats_out);
 }
 
 }  // namespace fastcc::exp

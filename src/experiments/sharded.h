@@ -1,8 +1,10 @@
-// The datacenter engine: one simulation, partitioned into logical shards.
+// The experiment engine: one simulation, partitioned into logical shards.
 //
-// Both fat-tree entry points run the same engine and differ only in the
-// partition.  run_datacenter() is the single-shard case: every node in
-// shard 0, no boundary links, no transfers, one epoch.
+// run_datacenter(), run_datacenter_sharded() and run_incast() all run this
+// engine (experiments/engine.h).  The fat-tree entry points differ only in
+// the partition: run_datacenter() is the single-shard case, with every node
+// in shard 0, no boundary links, no transfers and one epoch.  The incast's
+// star is always one shard.
 // run_datacenter_sharded() partitions the fat-tree by pod, or by ToR+its
 // hosts when DatacenterConfig::shard_granularity is kTor (spines and
 // pod-internal aggs dealt round-robin either way).  Every shard gets a

@@ -13,19 +13,13 @@ QueueMonitor::QueueMonitor(sim::Simulator& simulator, const Port& port,
       series_(std::move(label)),
       keep_running_(std::move(keep_running)) {}
 
-void QueueMonitor::arm_next() {
-  if (wheel_ != nullptr) {
-    wheel_->arm(sim_.now() + interval_, [this] { sample(); });
-  } else {
-    sim_.after(interval_, [this] { sample(); });
-  }
+void QueueMonitor::start() {
+  sim_.after(interval_, [this] { sample(); });
 }
-
-void QueueMonitor::start() { arm_next(); }
 
 void QueueMonitor::sample() {
   series_.add(sim_.now(), static_cast<double>(port_.data_queue_bytes()));
-  if (keep_running_ == nullptr || keep_running_()) arm_next();
+  if (keep_running_ == nullptr || keep_running_()) start();
 }
 
 UtilizationMonitor::UtilizationMonitor(sim::Simulator& simulator,
@@ -63,13 +57,6 @@ void UtilizationMonitor::sample() {
       port_.bandwidth() * static_cast<double>(interval_);
   series_.add(sim_.now(), capacity > 0.0 ? sent / capacity : 0.0);
   if (keep_running_ == nullptr || keep_running_()) arm_next();
-}
-
-double UtilizationMonitor::mean_utilization() const {
-  if (series_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& p : series_.points()) sum += p.value;
-  return sum / static_cast<double>(series_.size());
 }
 
 }  // namespace fastcc::net

@@ -29,21 +29,14 @@ class QueueMonitor {
   void start();
   const stats::TimeSeries& series() const { return series_; }
 
-  /// Routes the periodic re-arm through a node's timing wheel (usually the
-  /// monitored port's owner), keeping the sampler off the global event
-  /// queue.  Call before start().
-  void ride_wheel(sim::WheelScheduler* wheel) { wheel_ = wheel; }
-
  private:
   void sample();
-  void arm_next();
 
   sim::Simulator& sim_;
   const Port& port_;
   sim::Time interval_;
   stats::TimeSeries series_;
   std::function<bool()> keep_running_;
-  sim::WheelScheduler* wheel_ = nullptr;
 };
 
 /// Samples the delivered throughput (bytes/ns) of one egress port per
@@ -58,9 +51,13 @@ class UtilizationMonitor {
   /// Fraction of link capacity used per interval, in [0, ~1].
   const stats::TimeSeries& series() const { return series_; }
   /// Mean utilization across all samples so far.
-  FASTCC_DIMENSIONLESS double mean_utilization() const;
+  FASTCC_DIMENSIONLESS double mean_utilization() const {
+    return series_.mean_after(0);
+  }
 
-  /// See QueueMonitor::ride_wheel.
+  /// Routes the periodic re-arm through a node's timing wheel (usually the
+  /// monitored port's owner), keeping the sampler off the global event
+  /// queue.  Call before start().
   void ride_wheel(sim::WheelScheduler* wheel) { wheel_ = wheel; }
 
  private:

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace fastcc::exp {
 namespace {
 
@@ -77,6 +80,53 @@ TEST(IncastExperiment, StaggeredStartsFollowThePattern) {
     EXPECT_EQ(r.flows[i].start,
               static_cast<sim::Time>(i / 2) * 20 * sim::kMicrosecond);
   }
+}
+
+// --- Input checks: always on, in every build type ---
+
+TEST(IncastExperiment, RejectsPatternWithoutSenders) {
+  IncastConfig c = small_config(Variant::kHpcc);
+  c.pattern.senders = 0;
+  EXPECT_THROW(run_incast(c), std::invalid_argument);
+}
+
+TEST(IncastExperiment, RejectsStarWithoutRoomForTheReceiver) {
+  IncastConfig c = small_config(Variant::kHpcc);
+  c.star.host_count = 8;  // 8 senders + 1 receiver need 9
+  EXPECT_THROW(run_incast(c), std::invalid_argument);
+}
+
+TEST(IncastExperiment, RejectsNonPositiveSampleInterval) {
+  IncastConfig c = small_config(Variant::kHpcc);
+  c.queue_sample_interval = 0;
+  EXPECT_THROW(run_incast(c), std::invalid_argument);
+}
+
+/// Runs `c`, expecting a std::runtime_error; returns its message.
+std::string failure_of(const IncastConfig& c) {
+  try {
+    run_incast(c);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "run_incast returned normally";
+  return "";
+}
+
+TEST(IncastExperiment, ThrowsWhenFlowsOutliveTheTimeCap) {
+  IncastConfig c = small_config(Variant::kHpcc);
+  // 8 x 200 KB through one 100 Gbps link need ~134 us on the wire.
+  c.max_sim_time = 100 * sim::kMicrosecond;
+  const std::string what = failure_of(c);
+  EXPECT_NE(what.find(" of 8 flows"), std::string::npos) << what;
+  EXPECT_EQ(what.find("incast: 0 of"), std::string::npos) << what;
+}
+
+TEST(IncastExperiment, ThrowsWhenNoFlowCompletes) {
+  IncastConfig c = small_config(Variant::kHpcc);
+  c.max_sim_time = 5 * sim::kMicrosecond;
+  const std::string what = failure_of(c);
+  EXPECT_NE(what.find("8 of 8 flows"), std::string::npos) << what;
 }
 
 // --- Paper claims at the 16-1 scale (Section III-E / VI-B) ---
