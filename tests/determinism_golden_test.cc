@@ -4,8 +4,8 @@
 // bucket compaction) must never let physical storage order leak into event
 // execution order.  Every comparison below is exact — no tolerances.
 //
-// The pinned digests at the end go further: they hold the same incast runs
-// to values committed in this file, so a change that moves the schedule
+// The pinned digests at the end go further: they hold incast and fat-tree
+// runs to values committed in this file, so a change that moves the schedule
 // fails here even though it reproduces itself within one process.  A
 // deliberate move updates the value in the same change and says why.
 #include <gtest/gtest.h>
@@ -19,7 +19,9 @@
 #include <vector>
 
 #include "experiments/incast.h"
+#include "experiments/sharded.h"
 #include "stats/timeseries.h"
+#include "workload/distributions.h"
 
 namespace fastcc::exp {
 namespace {
@@ -212,6 +214,87 @@ TEST_P(PinnedIncast, DigestsMatchCommittedValues) {
 INSTANTIATE_TEST_SUITE_P(
     DeterminismGolden, PinnedIncast, ::testing::ValuesIn(kPinned),
     [](const ::testing::TestParamInfo<PinnedRun>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
+/// Id-sorted (id, size, start, fct, ideal fct), then drops and events
+/// executed: fcbench's fat-tree digest.
+std::uint64_t flow_digest(const DatacenterResult& r) {
+  std::vector<stats::FlowRecord> flows = r.flows;
+  std::sort(flows.begin(), flows.end(),
+            [](const stats::FlowRecord& a, const stats::FlowRecord& b) {
+              return a.id < b.id;
+            });
+  Fnv1a d;
+  d.add(flows.size());
+  for (const stats::FlowRecord& f : flows) {
+    d.add(f.id).add(f.size_bytes);
+    d.add(static_cast<std::uint64_t>(f.start_time));
+    d.add(static_cast<std::uint64_t>(f.fct));
+    d.add(static_cast<std::uint64_t>(f.ideal_fct));
+  }
+  d.add(r.drops).add(r.events_executed);
+  return d.value();
+}
+
+enum class Partition { kSerial, kPod, kTor };
+
+struct PinnedFatTreeRun {
+  const char* name;
+  Partition partition;
+  std::uint64_t flow_digest;
+  std::uint64_t events;
+};
+
+/// Hadoop at 50 % load on the 64-host scaled fat-tree, 100 us of arrivals:
+/// a CI-sized cut of the paper's Fig. 10 input (and fcbench's).
+DatacenterConfig pinned_fat_tree() {
+  DatacenterConfig c;
+  c.variant = Variant::kHpcc;
+  c.topo = topo::sharded_scaled_fat_tree();
+  c.components = {{&workload::hadoop_cdf(), 1.0}};
+  c.load = 0.5;
+  c.generate_duration = 100 * sim::kMicrosecond;
+  c.seed = 1;
+  return c;
+}
+
+// Each partition draws from its own per-shard Rng streams, so the three
+// rows differ from each other; each is fixed on its own.  The worker count
+// never changes a sharded result, so one worker runs both sharded rows.
+const PinnedFatTreeRun kPinnedFatTree[] = {
+    {"Serial", Partition::kSerial, 0xc5e77c879bb247c2, 500690},
+    {"PodSharded", Partition::kPod, 0xebc7cb9f00ce4da3, 501348},
+    {"TorSharded", Partition::kTor, 0xa257b351114ee415, 500753},
+};
+
+void PrintTo(const PinnedFatTreeRun& run, std::ostream* os) {
+  *os << run.name;
+}
+
+class PinnedFatTree : public ::testing::TestWithParam<PinnedFatTreeRun> {};
+
+TEST_P(PinnedFatTree, DigestMatchesCommittedValue) {
+  const PinnedFatTreeRun& run = GetParam();
+  DatacenterConfig c = pinned_fat_tree();
+  DatacenterResult r;
+  if (run.partition == Partition::kSerial) {
+    r = run_datacenter(c);
+  } else {
+    c.shard_granularity = run.partition == Partition::kPod
+                              ? topo::ShardGranularity::kPod
+                              : topo::ShardGranularity::kTor;
+    r = run_datacenter_sharded(c, 1);
+  }
+  ASSERT_EQ(r.unfinished, 0u);
+  EXPECT_EQ(r.events_executed, run.events);
+  EXPECT_EQ(flow_digest(r), run.flow_digest)
+      << std::hex << "flow digest 0x" << flow_digest(r);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeterminismGolden, PinnedFatTree, ::testing::ValuesIn(kPinnedFatTree),
+    [](const ::testing::TestParamInfo<PinnedFatTreeRun>& param_info) {
       return std::string(param_info.param.name);
     });
 
