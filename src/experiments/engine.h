@@ -39,9 +39,11 @@ struct EngineInput {
   /// Called on every completed flow, after the engine records it, on the
   /// thread running the flow's shard; set it on one-shard runs only.
   std::function<void(const net::FlowTx&)> on_complete;
-  /// Star only: called once after every flow start is scheduled and before
-  /// the run, so samplers armed here follow the starts in same-timestamp
-  /// order.  Whatever it arms must outlive run_engine().
+  /// Star only: called once after the start lanes are set and before the
+  /// run.  A start runs before every queued event at its timestamp
+  /// (sim::Simulator::set_start_lane), so samplers armed here follow the
+  /// starts in same-timestamp order by construction.  Whatever it arms must
+  /// outlive run_engine().
   std::function<void(sim::Simulator&, const topo::Star&)> attach_samplers;
 };
 

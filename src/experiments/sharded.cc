@@ -108,8 +108,8 @@ FASTCC_SHARD_LOCAL void advance_shard(
 ///
 /// The plan (DESIGN.md §9.5):
 ///   t[s]  earliest instant shard s could execute anything it already
-///         knows about: its own queue front or a published inbound
-///         transfer's arrival (the mailbox release horizon).
+///         knows about: its own next event or flow start, or a published
+///         inbound transfer's arrival (the mailbox release horizon).
 ///   e[s]  earliest conceivable execution instant at s, folding in chains
 ///         started elsewhere: min over all x of t[x] + L(x, s).  Because L
 ///         is path-closed (triangle inequality), this single relaxation
@@ -132,8 +132,7 @@ FASTCC_EPOCH_PUBLISH bool plan_epoch(
   sim::Time min_work = sim::kMaxTime;
   for (int s = 0; s < shards; ++s) {
     const auto si = static_cast<std::size_t>(s);
-    auto& queue = sims[si]->queue();
-    sim::Time t = queue.empty() ? sim::kMaxTime : queue.next_time();
+    sim::Time t = sims[si]->empty() ? sim::kMaxTime : sims[si]->next_time();
     t = std::min(t, mailboxes.earliest_ready(s));
     loop.work[si] = t;
     min_work = std::min(min_work, t);
@@ -386,7 +385,19 @@ DatacenterResult run_engine(const EngineInput& input,
     });
   }
 
-  for (net::FlowSpec& spec : specs) {
+  // Flow starts go through each shard's start lane, never its event queue
+  // (see sim::Simulator::set_start_lane): spec i starts through lane entry
+  // (start_time, i) of its source's shard.
+  struct FlowStart {
+    net::Host* src;
+    const net::PathInfo* path;
+  };
+  std::vector<FlowStart> starts;
+  starts.reserve(total);
+  std::vector<std::vector<sim::Simulator::Start>> lanes(
+      static_cast<std::size_t>(shards));
+  for (std::size_t i = 0; i < total; ++i) {
+    net::FlowSpec& spec = specs[i];
     // Remap generator host indices to topology node ids.
     net::Host* src = hosts[spec.src];
     net::Host* dst = hosts[spec.dst];
@@ -394,20 +405,26 @@ DatacenterResult run_engine(const EngineInput& input,
     spec.dst = dst->id();
     const net::PathInfo& path = path_of(spec.src, spec.dst);
     flow_paths.emplace(spec.id, &path);
-    const std::size_t s = static_cast<std::size_t>(smap.of(spec.src));
-    sim::Rng* rng = &shard_rngs[s];
-    // make_cc and the cached path outlive the schedule: the epoch loop
-    // below drains every flow-start event before this scope exits.
-    // lint:allow(ref-capture-callback -- epoch loop drains before scope exit)
-    sims[s]->at(spec.start_time, [&make_cc, src, spec, &path, rng] {
-      net::FlowTx flow;
-      flow.spec = spec;
-      flow.line_rate = src->port(0).bandwidth();
-      flow.base_rtt = path.base_rtt;
-      flow.path_hops = path.hops;
-      flow.cc = make_cc(path, rng);
-      src->start_flow(std::move(flow));
-    });
+    starts.push_back({src, &path});
+    lanes[static_cast<std::size_t>(smap.of(spec.src))].push_back(
+        {spec.start_time, i});
+  }
+  for (int s = 0; s < shards; ++s) {
+    const auto si = static_cast<std::size_t>(s);
+    sim::Rng* rng = &shard_rngs[si];
+    // specs, starts and make_cc outlive every start: the epoch loop below
+    // runs on this frame.
+    sims[si]->set_start_lane(
+        std::move(lanes[si]), [&specs, &starts, &make_cc, rng](std::size_t i) {
+          const FlowStart& start = starts[i];
+          net::FlowTx flow;
+          flow.spec = specs[i];
+          flow.line_rate = start.src->port(0).bandwidth();
+          flow.base_rtt = start.path->base_rtt;
+          flow.path_hops = start.path->hops;
+          flow.cc = make_cc(*start.path, rng);
+          start.src->start_flow(std::move(flow));
+        });
   }
   if (input.star != nullptr && input.attach_samplers) {
     input.attach_samplers(*sims[0], star);
@@ -473,6 +490,12 @@ DatacenterResult run_engine(const EngineInput& input,
     stats_out->horizon_jumps = loop.horizon_jumps;
     stats_out->cross_shard_transfers = mailboxes.total_transfers();
     stats_out->drained = loop.drained;
+    stats_out->calendar_days = 0;
+    stats_out->calendar_day_entries = 0;
+    for (const auto& sim : sims) {
+      stats_out->calendar_days += sim->queue().days_extracted();
+      stats_out->calendar_day_entries += sim->queue().day_entries();
+    }
     stats_out->pool_peak.clear();
     stats_out->pool_live_at_end.clear();
     for (const auto& pool : pools) {

@@ -58,6 +58,11 @@ struct ShardedRunStats {
   std::uint64_t horizon_jumps = 0;
   std::uint64_t cross_shard_transfers = 0;
   bool drained = false;  ///< All queues and mailboxes empty at the end.
+  /// Calendar days extracted, and the entries they held, summed over
+  /// shards (sim::CalendarQueue::days_extracted()).  Their ratio is the
+  /// mean day size.
+  std::uint64_t calendar_days = 0;
+  std::uint64_t calendar_day_entries = 0;
   std::vector<std::uint32_t> pool_peak;         ///< Per-shard high-water mark.
   std::vector<std::uint32_t> pool_live_at_end;  ///< 0 for every drained shard.
 };

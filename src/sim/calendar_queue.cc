@@ -66,9 +66,10 @@ void CalendarQueue::extract_day(std::vector<Entry>& bucket, Time day_start,
 
 void CalendarQueue::sort_today() {
   // A day holds a handful of entries (the width calibration targets ~3x the
-  // median inter-event gap), so the common case is a 2-8 element sort where
-  // std::sort's introsort dispatch costs more than the work itself.  Plain
-  // binary-insertion for short days, std::sort beyond.
+  // median inter-event gap; the fat-tree probe averages ~11 per extracted
+  // day), so most sorts are short enough that std::sort's introsort
+  // dispatch costs more than the work itself.  Plain insertion sort for
+  // short days, std::sort beyond.
   const auto by_time_fifo = [](const Entry& a, const Entry& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   };
@@ -106,10 +107,7 @@ void CalendarQueue::refill_today() {
     extract_day(buckets_[static_cast<std::size_t>(day) & mask], day_start,
                 day_start + width_);
     if (!today_.empty()) {
-      sort_today();
-      today_start_ = day_start;
-      today_end_ = day_start + width_;
-      today_active_ = true;
+      activate_today(day_start);
       return;
     }
   }
@@ -135,10 +133,16 @@ void CalendarQueue::refill_today() {
   const Time day_start = static_cast<Time>(min_day << width_shift_);
   extract_day(buckets_[min_b], day_start, day_start + width_);
   assert(!today_.empty());
+  activate_today(day_start);
+}
+
+void CalendarQueue::activate_today(Time day_start) {
   sort_today();
   today_start_ = day_start;
   today_end_ = day_start + width_;
   today_active_ = true;
+  ++days_extracted_;
+  day_entries_ += today_.size();
 }
 
 const CalendarQueue::Entry* CalendarQueue::peek_front() {
@@ -237,11 +241,14 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   // and every near-term event lands in one bucket, degrading pops to linear
   // scans.  Zero gaps (events sharing a timestamp) are excluded: they carry
   // no width information — simultaneous events land in the same day at
-  // *any* width — yet a synchronized burst (an incast start, a barrier of
-  // flow arrivals) can make them the majority, dragging the median to zero
-  // and the width to a single nanosecond, at which point every refill walks
-  // hundreds of empty days.  The 3x factor targets a few events per day
-  // (Brown, CACM 1988).
+  // *any* width — yet a synchronized burst (the first packets of an incast's
+  // simultaneous starts, a batch of same-instant timers) can make them the
+  // majority, dragging the median to zero and the width to a single
+  // nanosecond, at which point every refill walks hundreds of empty days.
+  // The 3x factor targets a few events per day (Brown, CACM 1988).  Flow
+  // starts never enter the queue (Simulator's start lane): thousands of
+  // Poisson arrivals queued up front sized the width from arrival gaps,
+  // and fat-tree days held ~68 entries instead of ~11.
   if (all.size() > 1 && max_t > min_t) {
     std::vector<Time> times;
     times.reserve(all.size());

@@ -89,6 +89,12 @@ class CalendarQueue {
   bool empty() const { return slots_.live() == 0; }
   std::size_t size() const { return slots_.live(); }
 
+  /// Days extracted into today_ so far, and the entries they moved there
+  /// (counted once per extraction, not per pop).  Their ratio is the mean
+  /// day size, which the width calibration aims at a few entries.
+  std::uint64_t days_extracted() const { return days_extracted_; }
+  std::uint64_t day_entries() const { return day_entries_; }
+
   /// Timestamp of the earliest live event.  Precondition: !empty().
   Time next_time();
 
@@ -147,6 +153,10 @@ class CalendarQueue {
   /// std::sort beyond.
   void sort_today();
 
+  /// Sorts the freshly extracted today_ and makes it the active day
+  /// starting at `day_start`.
+  void activate_today(Time day_start);
+
   /// Moves every in-day entry of `bucket` into today_ (swap-with-back
   /// removal), reclaiming cancelled entries it passes over.
   void extract_day(std::vector<Entry>& bucket, Time day_start, Time day_end);
@@ -202,6 +212,8 @@ class CalendarQueue {
   Time today_start_ = 0;
   Time today_end_ = 0;
   bool today_active_ = false;
+  std::uint64_t days_extracted_ = 0;
+  std::uint64_t day_entries_ = 0;
 
   EventSlotPool slots_;
 };

@@ -78,11 +78,12 @@ void TimingWheel::place(std::uint32_t idx) {
       (kSlots - 1));
   n.level = static_cast<std::int8_t>(level);
   n.slot = static_cast<std::uint8_t>(slot);
-  n.prev = tails_[level][slot];
-  if (tails_[level][slot] == kNil) {
+  if (!occupied(level, slot)) {
+    n.prev = kNil;
     heads_[level][slot] = idx;
     occupancy_[level][slot / 64] |= std::uint64_t{1} << (slot % 64);
   } else {
+    n.prev = tails_[level][slot];
     nodes_[tails_[level][slot]].next = idx;
   }
   tails_[level][slot] = idx;
@@ -181,7 +182,9 @@ std::uint32_t TimingWheel::scan_best() const {
     const auto cursor = static_cast<std::size_t>(
         (static_cast<std::uint64_t>(now_) >> (kSlotBits * level)) &
         (kSlots - 1));
-    consider(heads_[level][cursor], best_idx, best_at, best_seq);
+    if (occupied(level, cursor)) {
+      consider(heads_[level][cursor], best_idx, best_at, best_seq);
+    }
     const int s = first_occupied_after(level, cursor);
     if (s >= 0) {
       consider(heads_[level][static_cast<std::size_t>(s)], best_idx, best_at,

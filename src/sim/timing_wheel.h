@@ -51,10 +51,12 @@ class TimingWheel {
   static constexpr int kSlotBits = 8;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
 
-  TimingWheel() {
-    for (auto& level : heads_) level.fill(kNil);
-    for (auto& level : tails_) level.fill(kNil);
-  }
+  // heads_/tails_ are left uninitialized: a slot's list ends are read only
+  // while its occupancy bit is set, and place() writes both whenever it
+  // sets the bit.  Every node owns a wheel, so filling the 8 KB of list
+  // ends cost every topology build; the constructor is user-provided so
+  // value-initialization does not zero them either.
+  TimingWheel() {}
   TimingWheel(const TimingWheel&) = delete;
   TimingWheel& operator=(const TimingWheel&) = delete;
 
@@ -113,6 +115,9 @@ class TimingWheel {
   /// Walks one list, folding its minimum into the running best.
   void consider(std::uint32_t head, std::uint32_t& best_idx, Time& best_at,
                 std::uint64_t& best_seq) const;
+  bool occupied(int level, std::size_t slot) const {
+    return (occupancy_[level][slot / 64] >> (slot % 64)) & 1u;
+  }
   /// First occupied slot at level `level` in cursor-relative distance order
   /// 1..kSlots-1 (the cursor slot itself is checked separately); -1 if none.
   int first_occupied_after(int level, std::size_t cursor) const;

@@ -27,8 +27,8 @@ class UniqueFunction {
   /// schedule and pop physically moves this buffer, so the hot-path cost
   /// scales with it (the old 384-byte buffer sized for a by-value Packet
   /// spanned seven cache lines; 64 spanned two).  Rare oversized callables
-  /// (the experiments' flow-start closures, one per flow) take the heap
-  /// fallback.
+  /// take the heap fallback.  Flow starts are no longer closures at all:
+  /// they run through the Simulator's start lane.
   static constexpr std::size_t kInlineSize = 32;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
