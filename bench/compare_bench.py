@@ -11,6 +11,8 @@ Usage:
     bench/compare_bench.py BASELINE.json FRESH.json [--threshold 0.15]
     bench/compare_bench.py --interleave BINARY --bench-a NAME --bench-b NAME
                            [--rounds 5] [--min-ratio 1.0]
+    bench/compare_bench.py --interleave BEFORE --binary-b AFTER --bench-a NAME
+                           [--rounds 5] [--min-ratio 1.0]
 
 File-comparison mode: both files use the schema emitted by
 bench/run_core_bench.sh:
@@ -26,7 +28,9 @@ access must still be able to run the comparison.
 Interleaved A/B mode: instead of comparing two recorded files, launch the
 given google-benchmark BINARY 2 x rounds times, alternating strictly
 A, B, A, B, ... (one benchmark per process via --benchmark_filter), and
-report the per-round rate ratio B/A plus its median.  Pairing adjacent
+report the per-round rate ratio B/A plus its median.  With --binary-b, B
+runs from a second binary (a before/after pair of builds) and --bench-b
+defaults to --bench-a, so one benchmark is compared across two commits.  Pairing adjacent
 runs cancels the slow drifts (thermal throttling, frequency scaling,
 noisy CI neighbors) that make two widely separated measurements
 incomparable — each ratio compares runs seconds apart, and the median
@@ -151,7 +155,7 @@ def run_interleaved(args):
     ratios = []
     for r in range(args.rounds):
         rate_a = measure_once(args.interleave, args.bench_a)
-        rate_b = measure_once(args.interleave, args.bench_b)
+        rate_b = measure_once(args.binary_b or args.interleave, args.bench_b)
         if rate_a <= 0.0:
             print(f"error: nonpositive rate {rate_a} for {args.bench_a}",
                   file=sys.stderr)
@@ -191,6 +195,9 @@ def main():
                         "(interleave mode)")
     parser.add_argument("--bench-b", help="numerator benchmark name "
                         "(interleave mode)")
+    parser.add_argument("--binary-b", metavar="BINARY",
+                        help="run the numerator from this binary instead "
+                        "(interleave mode; --bench-b defaults to --bench-a)")
     parser.add_argument("--rounds", type=int, default=5,
                         help="paired A/B rounds in interleave mode "
                         "(default: 5)")
@@ -200,6 +207,8 @@ def main():
     args = parser.parse_args()
 
     if args.interleave:
+        if args.binary_b and not args.bench_b:
+            args.bench_b = args.bench_a
         if not args.bench_a or not args.bench_b:
             parser.error("--interleave requires --bench-a and --bench-b")
         if args.rounds < 1:

@@ -1,10 +1,13 @@
 // Google-benchmark microbenchmarks for the hot paths of the simulator and
 // the measurement library: event scheduling/dispatch, Jain index, CDF
-// sampling, percentile computation, fluid-model integration, and an
-// end-to-end packets-per-second figure for the incast pipeline.
+// sampling, percentile computation, fluid-model integration, the
+// cross-shard packet handoff, and end-to-end events-per-second figures for
+// the incast and fat-tree pipelines.
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "core/fairness.h"
 #include "core/fluid_model.h"
@@ -14,6 +17,7 @@
 #include "experiments/sharded.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "net/shard.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -424,6 +428,63 @@ void BM_AckBatchDrain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_AckBatchDrain)->Unit(benchmark::kMillisecond);
+
+/// The cross-shard transfer path in isolation, as a sharded run drives it:
+/// per iteration, N packets leave 8 shards' pools through their routers
+/// (reserve + export_release), the barrier publishes, and every destination
+/// orders its drain keys, imports each packet into its own pool and
+/// releases it.  Each packet carries 4 INT records, what a data packet
+/// holds when it crosses a pod boundary on its way up; arrivals are
+/// scrambled so the drain sort does real work.  Items = transfers.
+void BM_CrossShardHandoff(benchmark::State& state) {
+  constexpr int kShards = 8;
+  const int n = static_cast<int>(state.range(0));
+  net::ShardMap map;
+  for (int s = 0; s < kShards; ++s) map.shard.push_back(s);
+  map.count = kShards;
+  net::ShardMailboxes mailboxes(kShards);
+  std::vector<std::unique_ptr<net::PacketPool>> pools;
+  std::vector<std::unique_ptr<net::ShardRouter>> routers;
+  for (int s = 0; s < kShards; ++s) {
+    pools.push_back(std::make_unique<net::PacketPool>());
+    routers.push_back(std::make_unique<net::ShardRouter>(&mailboxes, &map, s));
+  }
+  std::vector<net::DrainKey> keys;
+  std::uint64_t checksum = 0;
+  sim::Time epoch_start = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      const int s = i % kShards;
+      const int d = (s + 1 + (i / kShards) % (kShards - 1)) % kShards;
+      net::PacketPool& pool = *pools[static_cast<std::size_t>(s)];
+      const net::PacketRef ref = pool.alloc();
+      net::Packet& p = pool.get(ref);
+      net::init_data(p, static_cast<net::FlowId>(i), static_cast<net::NodeId>(s),
+                     static_cast<net::NodeId>(d), /*seq=*/0, /*payload=*/1000,
+                     epoch_start);
+      for (int h = 0; h < 4; ++h) p.push_int(net::IntRecord{epoch_start, 0, 0, 12.5});
+      const sim::Time arrival = epoch_start + (i * 7919) % 4096;
+      pool.export_release(
+          ref, routers[static_cast<std::size_t>(s)]->reserve(
+                   arrival, static_cast<net::NodeId>(d), /*dst_port=*/0));
+    }
+    mailboxes.publish();
+    for (int d = 0; d < kShards; ++d) {
+      net::PacketPool& pool = *pools[static_cast<std::size_t>(d)];
+      mailboxes.order_ready(d, keys);
+      for (const net::DrainKey& key : keys) {
+        const net::PacketRef ref = pool.import_packet(key.rec->pkt);
+        checksum += pool.get(ref).flow;
+        pool.release(ref);
+      }
+      mailboxes.clear_ready(d);
+    }
+    epoch_start += 4096;
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_CrossShardHandoff)->Arg(4096);
 
 }  // namespace
 

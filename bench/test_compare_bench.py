@@ -187,6 +187,7 @@ class CompareBenchTest(unittest.TestCase):
 # outlier round.
 FAKE_BENCH = r'''#!/usr/bin/env python3
 import json, os, sys
+SCALE = 1.0  # rate multiplier; a second copy stands in for another build
 cfg = json.load(open(os.environ["FAKE_BENCH_CFG"]))
 if cfg.get("garbage"):
     print("this is not benchmark json")
@@ -208,7 +209,8 @@ if isinstance(rates, list):
     call = prior.count(name)
     rates = rates[min(call, len(rates) - 1)]
 print(json.dumps({"benchmarks": [
-    {"name": name, "run_type": "iteration", "events_per_second": rates}]}))
+    {"name": name, "run_type": "iteration",
+     "events_per_second": rates * SCALE}]}))
 '''
 
 
@@ -281,6 +283,23 @@ class InterleaveModeTest(unittest.TestCase):
         res = self.run_interleave("--rounds", "1")
         self.assertEqual(res.returncode, 2)
         self.assertIn("malformed", res.stderr)
+
+    def test_binary_b_compares_one_benchmark_across_builds(self):
+        # A before/after pair: B runs the same benchmark from the second
+        # binary, which is twice as fast; the processes still alternate.
+        after = os.path.join(self._tmp.name, "fake_bench_after")
+        with open(after, "w", encoding="utf-8") as f:
+            f.write(FAKE_BENCH.replace("SCALE = 1.0", "SCALE = 2.0"))
+        os.chmod(after, 0o755)
+        self.configure({"BM_A/8": 1e6})
+        env = dict(os.environ, FAKE_BENCH_CFG=self.cfg)
+        res = subprocess.run(
+            [sys.executable, SCRIPT, "--interleave", self.binary,
+             "--binary-b", after, "--bench-a", "BM_A/8", "--rounds", "2"],
+            capture_output=True, text=True, env=env)
+        self.assertEqual(res.returncode, 0, res.stderr)
+        self.assertIn("2.000", res.stdout)
+        self.assertEqual(self.calls(), ["BM_A/8"] * 4)
 
     def test_interleave_requires_bench_names(self):
         env = dict(os.environ, FAKE_BENCH_CFG=self.cfg)

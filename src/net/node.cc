@@ -120,10 +120,10 @@ FASTCC_SHARD_LOCAL void Node::send_pfc(int in_port, bool pause) {
   if (CrossShardSink* sink = reverse.cross_shard_sink()) {
     // The pause/resume frame crosses a shard boundary: like data in
     // Port::start_tx, it is serialized out of this shard's pool into the
-    // mailbox and re-materialized by the owner of the peer node.
-    sink->deposit(pool_->export_release(ref),
-                  sim_->now() + reverse.propagation_delay(), peer->id(),
-                  arrival_port);
+    // mailbox record and re-materialized by the owner of the peer node.
+    pool_->export_release(
+        ref, sink->reserve(sim_->now() + reverse.propagation_delay(),
+                           peer->id(), arrival_port));
     return;
   }
   auto arrive = [peer, ref, arrival_port] { peer->deliver(ref, arrival_port); };

@@ -8,8 +8,11 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "sim/time.h"
 #include "util/contracts.h"
@@ -124,6 +127,18 @@ struct Packet {
 static_assert(offsetof(Packet, ints) == 64,
               "per-hop header must fill exactly one cache line ahead of the "
               "INT stack (see the field-order comment)");
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "copy_live copies packets as raw bytes");
+
+/// Copies the live bytes of `from` into `to`: the 64-byte header line plus
+/// INT records [0, int_count).  Records past int_count are never read (see
+/// reset_header), so they are left as they were — a packet crossing a shard
+/// boundary moves 64-320 bytes instead of the whole 320.
+inline void copy_live(Packet& to, const Packet& from) {
+  assert(from.int_count <= kMaxHops);
+  std::memcpy(static_cast<void*>(&to), &from,
+              offsetof(Packet, ints) + from.int_count * sizeof(IntRecord));
+}
 
 /// Fills a freshly reset pool packet in place as a data packet for `flow`
 /// covering [seq, seq+payload).  Zero-copy counterpart of make_data.

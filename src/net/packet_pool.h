@@ -10,6 +10,13 @@
 //   * Whoever removes a packet from the pipeline release()s it: the
 //     receiving host after processing (Host::receive), Node::deliver for
 //     PFC frames, and Port::enqueue on a tail drop.
+//   * A packet crossing a shard boundary leaves by export_release(ref,
+//     into), which copies its live bytes into the mailbox record the shard
+//     router reserved and releases the slot, and enters the destination
+//     shard's pool by import_packet(), which copies the same live bytes into
+//     a fresh slot.  Live bytes are the 64-byte header line plus the
+//     populated INT prefix; records past int_count are never read, so
+//     neither side copies them.
 //
 // Handles are generation-checked: release() bumps the slot's generation, so
 // a stale PacketRef held past release (a use-after-free in disguise) fails
@@ -130,21 +137,22 @@ class FASTCC_SHARD_LOCAL PacketPool {
   }
 
   /// Serializes a packet out of this pool for a cross-shard handoff: copies
-  /// the bytes and retires the handle (slot to the freelist, generation
-  /// bumped, exactly as release()).  The returned value is what crosses the
-  /// mailbox; the destination shard re-materializes it via import_packet().
-  Packet export_release(FASTCC_CONSUMES_XSHARD PacketRef ref) {
-    Packet out = get(ref);
+  /// its live bytes (copy_live: the header line and the populated INT
+  /// prefix) straight into `into` — the mailbox record the shard router
+  /// reserved — and retires the handle (slot to the freelist, generation
+  /// bumped, exactly as release()).  The destination shard re-materializes
+  /// the record via import_packet().
+  void export_release(FASTCC_CONSUMES_XSHARD PacketRef ref, Packet& into) {
+    copy_live(into, get(ref));
     release(ref);
-    return out;
   }
 
   /// Re-materializes a packet that arrived from another shard's pool:
-  /// allocates a fresh slot here and copies the bytes in.  The new handle
-  /// is this pool's own — generation checking starts over.
+  /// allocates a fresh slot here and copies the live bytes in.  The new
+  /// handle is this pool's own — generation checking starts over.
   FASTCC_PRODUCES PacketRef import_packet(const Packet& p) {
     const PacketRef ref = alloc();
-    get(ref) = p;
+    copy_live(get(ref), p);
     return ref;
   }
 

@@ -177,13 +177,13 @@ void Port::start_tx() {
     if (xshard_ != nullptr) {
       // Shard-boundary link: the peer lives on another worker's simulator,
       // so a handle into *this* pool is meaningless there.  Serialize the
-      // packet out of the pool (export_release copies the bytes and retires
-      // the handle) into the mailbox; the destination shard re-materializes
-      // it in its own pool and schedules the delivery at the same arrival
-      // instant.  Never chained: exact per-packet arrivals keep the
-      // conservative-sync horizon math untouched.
-      xshard_->deposit(pool_->export_release(ref), arrival, peer->id(),
-                       in_port);
+      // packet out of the pool straight into the mailbox record the router
+      // reserves (export_release copies the live bytes and retires the
+      // handle); the destination shard re-materializes it in its own pool
+      // and schedules the delivery at the same arrival instant.  Never
+      // chained: exact per-packet arrivals keep the conservative-sync
+      // horizon math untouched.
+      pool_->export_release(ref, xshard_->reserve(arrival, peer->id(), in_port));
     } else if (coalesce) {
       chain.chain_take(ref, p, arrival);
     } else {

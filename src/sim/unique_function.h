@@ -90,6 +90,9 @@ class UniqueFunction {
     void (*relocate)(void* dst, void* src);
     /// Destroys the stored object.  nullptr when trivially destructible.
     void (*destroy)(void*);
+    /// Bytes to memcpy on relocation: 0 for empty callables (a capture-less
+    /// lambda's one byte of storage is never written, so copying it would
+    /// read uninitialized memory).
     std::size_t size;
   };
 
@@ -126,7 +129,7 @@ class UniqueFunction {
           ? nullptr
           : &relocate_inline<D>,
       std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>,
-      sizeof(D)};
+      std::is_empty_v<D> ? 0 : sizeof(D)};
 
   /// Heap-stored callables keep only the owning D* inline; relocation copies
   /// the pointer, destruction deletes through it.

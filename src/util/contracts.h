@@ -32,13 +32,14 @@
 //                    The handle ends in the `transferred-cross-shard` state:
 //                    it is dead in this shard, and the bytes continue life
 //                    in another shard's pool under a new handle.
-//   FASTCC_XSHARD_SINK  on a function taking a serialized packet across a
-//                    shard boundary (a mailbox deposit).  fastcc-dataflow
-//                    requires every live PacketRef reaching a sink call to
-//                    be wrapped in a FASTCC_CONSUMES_XSHARD serialization —
-//                    a raw handle in a sink argument is a blocking
-//                    `raw-cross-shard-handoff` finding, because handles are
-//                    meaningless in the destination pool.
+//   FASTCC_XSHARD_SINK  on a function that puts a packet across a shard
+//                    boundary (ShardRouter::reserve, which hands out the
+//                    mailbox record export_release serializes into).
+//                    fastcc-dataflow requires every live PacketRef reaching
+//                    a sink call to be wrapped in a FASTCC_CONSUMES_XSHARD
+//                    serialization — a raw handle in a sink argument is a
+//                    blocking `raw-cross-shard-handoff` finding, because
+//                    handles are meaningless in the destination pool.
 //
 // Unannotated PacketRef parameters are treated as borrows; a body that
 // releases or transfers such a parameter is a contract violation.

@@ -12,11 +12,13 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "net/host.h"
 #include "net/network.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "net/shard.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -241,6 +243,70 @@ TEST(AllocFreeDispatch, BatchedAckPathSteadyStateZeroAllocations) {
   // The slab's incremental rate bookkeeping stayed consistent through the
   // batch passes.
   EXPECT_DOUBLE_EQ(src->total_send_rate(), src->total_send_rate_recomputed());
+}
+
+// The cross-shard handoff in steady state: per round, every shard exports
+// a burst of packets into reserved mailbox records, the barrier publishes
+// (swapping cells), and each destination orders its keys, imports and
+// releases the packets, and clears its column.  Once the cells, the key
+// scratch and the pools have reached their high-water sizes, a round
+// allocates nothing.
+TEST(AllocFreeDispatch, ShardMailboxRoundTripSteadyStateZeroAllocations) {
+  constexpr int kShards = 4;
+  constexpr int kPerPair = 16;
+  net::ShardMap map;
+  for (net::NodeId id = 0; id < kShards; ++id) {
+    map.shard.push_back(static_cast<std::int32_t>(id));
+  }
+  map.count = kShards;
+  net::ShardMailboxes mailboxes(kShards);
+  std::vector<std::unique_ptr<net::PacketPool>> pools;
+  std::vector<std::unique_ptr<net::ShardRouter>> routers;
+  for (int s = 0; s < kShards; ++s) {
+    pools.push_back(std::make_unique<net::PacketPool>());
+    routers.push_back(std::make_unique<net::ShardRouter>(&mailboxes, &map, s));
+  }
+  std::vector<net::DrainKey> keys;
+  std::uint64_t delivered = 0;
+  sim::Time now = 0;
+
+  auto round = [&] {
+    for (int s = 0; s < kShards; ++s) {
+      for (int i = 0; i < kPerPair * (kShards - 1); ++i) {
+        const net::NodeId dst = static_cast<net::NodeId>(
+            (s + 1 + i % (kShards - 1)) % kShards);
+        net::PacketPool& pool = *pools[static_cast<std::size_t>(s)];
+        const net::PacketRef ref = pool.alloc();
+        net::Packet& p = pool.get(ref);
+        net::init_data(p, /*flow=*/static_cast<net::FlowId>(i), s, dst,
+                       /*seq=*/0, /*payload=*/1000, now);
+        p.push_int(net::IntRecord{});
+        pool.export_release(
+            ref, routers[static_cast<std::size_t>(s)]->reserve(
+                     now + 1000 + i, dst, /*dst_port=*/0));
+      }
+    }
+    mailboxes.publish();
+    for (int d = 0; d < kShards; ++d) {
+      net::PacketPool& pool = *pools[static_cast<std::size_t>(d)];
+      mailboxes.order_ready(d, keys);
+      for (const net::DrainKey& key : keys) {
+        const net::PacketRef ref = pool.import_packet(key.rec->pkt);
+        delivered += pool.get(ref).int_count;
+        pool.release(ref);
+      }
+      mailboxes.clear_ready(d);
+    }
+    now += 10'000;
+  };
+
+  for (int i = 0; i < 4; ++i) round();  // warm-up: cells, keys, pools grow
+  const std::size_t before = g_news;
+  for (int i = 0; i < 100; ++i) round();
+  EXPECT_EQ(g_news - before, 0u) << "steady-state mailbox round trip allocated";
+  EXPECT_EQ(delivered, 104u * kShards * kPerPair * (kShards - 1));
+  EXPECT_TRUE(mailboxes.all_empty());
+  for (const auto& pool : pools) EXPECT_EQ(pool->live_count(), 0u);
 }
 
 // Pool leak check: when a simulation drains completely, every handle has

@@ -1,33 +1,33 @@
 // fastcc-dataflow fixture: cross-shard handoff discipline.  A PacketRef is
 // an index into one shard's PacketPool; the only way across a shard
 // boundary is the serializing FASTCC_CONSUMES_XSHARD path (export_release),
-// whose by-value Packet result is what a FASTCC_XSHARD_SINK deposit
-// accepts.  Never compiled.
+// which copies the packet's bytes into the record a FASTCC_XSHARD_SINK
+// reserve hands out.  Never compiled.
 
 struct PacketPool {
   FASTCC_PRODUCES PacketRef alloc();
   Packet& get(FASTCC_BORROWS PacketRef ref);
   void release(FASTCC_CONSUMES PacketRef ref);
-  Packet export_release(FASTCC_CONSUMES_XSHARD PacketRef ref);
+  void export_release(FASTCC_CONSUMES_XSHARD PacketRef ref, Packet& into);
 };
 struct ShardRouter {
-  FASTCC_XSHARD_SINK void deposit(Packet&& pkt, Time arrival, NodeId dst_node,
-                                  int dst_port);
+  FASTCC_XSHARD_SINK Packet& reserve(Time arrival, NodeId dst_node,
+                                     int dst_port);
 };
 
 namespace fastcc::bad {
 
 void raw_handle_into_mailbox(PacketPool& pool, ShardRouter& router) {
   PacketRef ref = pool.alloc();
-  // The destination shard cannot dereference this pool's index: the handle
-  // is meaningless over there and its slot leaks over here.
-  router.deposit(ref, 100, 3, 0);  // expect-dataflow: raw-cross-shard-handoff
+  // Smuggling the handle through the sink (here in the ingress-port slot)
+  // ships an index the destination shard cannot dereference.
+  router.reserve(100, 3, ref.bits);  // expect-dataflow: raw-cross-shard-handoff
   pool.release(ref);
 }
 
 void use_after_serialize(PacketPool& pool, ShardRouter& router) {
   PacketRef ref = pool.alloc();
-  router.deposit(pool.export_release(ref), 100, 3, 0);
+  pool.export_release(ref, router.reserve(100, 3, 0));
   // export_release ended the handle's life in this pool.
   Packet& p = pool.get(ref);  // expect-dataflow: use-after-release
   p.ecn = true;
@@ -37,7 +37,7 @@ void serialize_borrowed_handle(FASTCC_BORROWS PacketRef ref, PacketPool& pool,
                                ShardRouter& router) {
   // The caller still owns this handle; serializing it out from under them
   // frees a slot they will touch again.
-  router.deposit(pool.export_release(ref), 100, 3, 0);  // expect-dataflow: contract-violation
+  pool.export_release(ref, router.reserve(100, 3, 0));  // expect-dataflow: contract-violation
 }
 
 }  // namespace fastcc::bad

@@ -10,7 +10,7 @@ class FASTCC_XSHARD_CHANNEL FixGoodHorizonBox {
  public:
   FASTCC_SHARD_LOCAL void fix_drain_resets(int dst) {
     // The owning reader resets its own column's horizon as part of the
-    // drain, exactly like ShardMailboxes::take_ready.
+    // drain, exactly like ShardMailboxes::clear_ready.
     // lint:allow(epoch-phase-write -- reader-owned release-horizon reset travels with the column drain)
     fix_horizon_[dst] = 0;
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "net/packet.h"
@@ -201,8 +202,10 @@ TEST(PacketPool, ExportReleaseAndImportMovePacketsBetweenPools) {
   src_pool.get(ref).wire_bytes = 777;
   src_pool.get(ref).seq = 42;
 
-  // Export: bytes come out, the handle dies, the slot frees.
-  const Packet crossing = src_pool.export_release(ref);
+  // Export: bytes go into the caller's record, the handle dies, the slot
+  // frees.
+  Packet crossing;
+  src_pool.export_release(ref, crossing);
   EXPECT_EQ(src_pool.live_count(), 0u);
   EXPECT_FALSE(src_pool.is_current(ref));
   EXPECT_EQ(crossing.wire_bytes, 777u);
@@ -214,6 +217,123 @@ TEST(PacketPool, ExportReleaseAndImportMovePacketsBetweenPools) {
   EXPECT_EQ(dst_pool.get(imported).seq, 42u);
 
   dst_pool.release(imported);
+  EXPECT_EQ(dst_pool.live_count(), 0u);
+}
+
+/// Field-by-field equality of the live bytes: every header field plus the
+/// populated INT prefix.
+void expect_same_live(const Packet& got, const Packet& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.int_count, want.int_count);
+  EXPECT_EQ(got.ecn, want.ecn);
+  EXPECT_EQ(got.cnp, want.cnp);
+  EXPECT_EQ(got.flow, want.flow);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  EXPECT_EQ(got.pfc_port, want.pfc_port);
+  EXPECT_EQ(got.ingress_port, want.ingress_port);
+  EXPECT_EQ(got.batch_next, want.batch_next);
+  EXPECT_EQ(got.seq, want.seq);
+  EXPECT_EQ(got.host_ts, want.host_ts);
+  EXPECT_EQ(got.ack_ts, want.ack_ts);
+  for (int h = 0; h < want.int_count; ++h) {
+    EXPECT_EQ(got.ints[h].timestamp, want.ints[h].timestamp) << "hop " << h;
+    EXPECT_EQ(got.ints[h].tx_bytes, want.ints[h].tx_bytes) << "hop " << h;
+    EXPECT_EQ(got.ints[h].qlen_bytes, want.ints[h].qlen_bytes) << "hop " << h;
+    EXPECT_EQ(got.ints[h].bandwidth, want.ints[h].bandwidth) << "hop " << h;
+  }
+}
+
+/// A record full of stale bytes, as a recycled mailbox slot holds.
+void fill_stale(Packet& p) {
+  p.type = PacketType::kAck;
+  p.int_count = kMaxHops;
+  p.flow = 0xdead;
+  p.seq = 0xbeef;
+  for (IntRecord& rec : p.ints) {
+    rec.timestamp = -1;
+    rec.tx_bytes = 0xffff;
+  }
+}
+
+// The cross-shard round trip: export into a stale mailbox record, import
+// into a pool whose slot held another packet.  Every header field and the
+// INT prefix survive for every int_count; records past int_count are not
+// copied at all.
+TEST(PacketPool, ExportImportRoundTripCopiesLiveBytesForEveryIntCount) {
+  PacketPool src_pool;
+  PacketPool dst_pool;
+  for (int count = 0; count <= kMaxHops; ++count) {
+    const PacketRef ref = src_pool.alloc();
+    Packet& p = src_pool.get(ref);
+    init_data(p, /*flow=*/100 + count, /*src=*/3, /*dst=*/9,
+              /*seq=*/5000, /*payload=*/1000, /*now=*/42);
+    p.ecn = (count % 2) == 1;
+    p.ingress_port = count;
+    p.batch_next = 7;
+    for (int h = 0; h < count; ++h) {
+      IntRecord rec;
+      rec.timestamp = 1000 * count + h;
+      rec.tx_bytes = 1'000'000u + static_cast<std::uint64_t>(h);
+      rec.qlen_bytes = 64u * static_cast<std::uint32_t>(h);
+      rec.bandwidth = 12.5 + h;
+      p.push_int(rec);
+    }
+    Packet want;
+    copy_live(want, p);
+
+    Packet record;
+    fill_stale(record);
+    src_pool.export_release(ref, record);
+    EXPECT_FALSE(src_pool.is_current(ref));
+    expect_same_live(record, want);
+    for (int h = count; h < kMaxHops; ++h) {
+      EXPECT_EQ(record.ints[h].timestamp, -1)
+          << "export copied dead INT record " << h;
+    }
+
+    // Dirty the destination slot first so a missed field would show.
+    const PacketRef junk = dst_pool.alloc();
+    fill_stale(dst_pool.get(junk));
+    dst_pool.release(junk);
+    const PacketRef imported = dst_pool.import_packet(record);
+    EXPECT_EQ(imported.slot(), junk.slot());
+    expect_same_live(dst_pool.get(imported), want);
+    dst_pool.release(imported);
+  }
+  EXPECT_EQ(src_pool.live_count(), 0u);
+  EXPECT_EQ(dst_pool.live_count(), 0u);
+}
+
+// PFC pause/resume frames cross shard boundaries too (Node::send_pfc);
+// their one payload field is the port to pause.
+TEST(PacketPool, ExportImportRoundTripCarriesPfcFrames) {
+  PacketPool src_pool;
+  PacketPool dst_pool;
+  for (const PacketType type : {PacketType::kPfcPause, PacketType::kPfcResume}) {
+    const PacketRef ref = src_pool.alloc();
+    Packet& frame = src_pool.get(ref);
+    frame.type = type;
+    frame.wire_bytes = 64;
+    frame.pfc_port = 5;
+    Packet want;
+    copy_live(want, frame);
+
+    Packet record;
+    fill_stale(record);
+    src_pool.export_release(ref, record);
+    expect_same_live(record, want);
+
+    const PacketRef imported = dst_pool.import_packet(record);
+    const Packet& got = dst_pool.get(imported);
+    expect_same_live(got, want);
+    EXPECT_TRUE(got.is_control());
+    EXPECT_EQ(got.int_count, 0);
+    dst_pool.release(imported);
+  }
+  EXPECT_EQ(src_pool.live_count(), 0u);
   EXPECT_EQ(dst_pool.live_count(), 0u);
 }
 

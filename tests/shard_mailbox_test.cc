@@ -1,12 +1,15 @@
 // ShardMailboxes protocol: per-(src, dst) sequence stamping, publish
 // ordering (nothing is visible to the reader before the barrier's
-// publish()), ascending-src drain order, the canonical
-// (arrival, src shard, seq) injection order the sharded runner sorts into,
-// and cell reuse across epochs.  These are the invariants fastcc-shardsafe
-// checks statically; this test pins them dynamically.
+// publish()), the canonical (arrival, src shard, seq) injection order the
+// drain keys sort into, both publish paths (swap into an empty ready cell,
+// append behind a skipped destination's records), and cell reuse across
+// epochs.  These are the invariants fastcc-shardsafe checks statically;
+// this test pins them dynamically.
 #include "net/shard.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -17,19 +20,55 @@
 namespace fastcc::net {
 namespace {
 
-CrossShardPacket make_rec(FlowId flow, sim::Time arrival) {
-  CrossShardPacket rec;
-  rec.pkt = make_data(flow, /*src=*/0, /*dst=*/1, /*seq=*/0,
-                      /*payload=*/100, /*now=*/0);
-  rec.arrival = arrival;
-  rec.dst_node = 1;
-  rec.dst_port = 0;
-  return rec;
+/// Fills a reserved record the way export_release would: a fresh header
+/// for `flow` and `ints` populated INT records derived from the flow id.
+void deposit(ShardMailboxes& mb, int src, int dst, FlowId flow,
+             sim::Time arrival, int ints = 0) {
+  Packet& p = mb.put(src, dst, arrival, /*dst_node=*/1, /*dst_port=*/0).pkt;
+  p.reset_header();
+  init_data(p, flow, /*src=*/0, /*dst=*/1, /*seq=*/0, /*payload=*/100,
+            /*now=*/0);
+  for (int h = 0; h < ints; ++h) {
+    IntRecord rec;
+    rec.timestamp = flow * 100 + h;
+    rec.tx_bytes = flow;
+    rec.qlen_bytes = static_cast<std::uint32_t>(h);
+    rec.bandwidth = 12.5;
+    p.push_int(rec);
+  }
 }
 
-std::vector<FlowId> flows_of(const std::vector<CrossShardPacket>& recs) {
+struct Drained {
+  FlowId flow;
+  sim::Time arrival;
+  int src;
+  std::uint64_t seq;
+  int int_count;
+};
+
+/// Drains shard `dst` the way the sharded runner does: keys in injection
+/// order, read each record in place, then clear the column.
+std::vector<Drained> drain(ShardMailboxes& mb, int dst) {
+  std::vector<DrainKey> keys;
+  mb.order_ready(dst, keys);
+  std::vector<Drained> out;
+  for (const DrainKey& key : keys) {
+    const CrossShardPacket& rec = *key.rec;
+    out.push_back({rec.pkt.flow, rec.arrival, rec.src_shard, rec.seq,
+                   rec.pkt.int_count});
+    for (int h = 0; h < rec.pkt.int_count; ++h) {
+      EXPECT_EQ(rec.pkt.ints[h].timestamp,
+                static_cast<sim::Time>(rec.pkt.flow * 100 + h));
+      EXPECT_EQ(rec.pkt.ints[h].tx_bytes, rec.pkt.flow);
+    }
+  }
+  mb.clear_ready(dst);
+  return out;
+}
+
+std::vector<FlowId> flows_of(const std::vector<Drained>& recs) {
   std::vector<FlowId> out;
-  for (const CrossShardPacket& r : recs) out.push_back(r.pkt.flow);
+  for (const Drained& r : recs) out.push_back(r.flow);
   return out;
 }
 
@@ -37,17 +76,16 @@ TEST(ShardMailboxes, NothingVisibleBeforePublish) {
   ShardMailboxes mb(3);
   EXPECT_TRUE(mb.all_empty());
 
-  mb.put(0, 1, make_rec(10, 100));
+  deposit(mb, 0, 1, 10, 100);
   EXPECT_FALSE(mb.all_empty());
 
-  std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
-  EXPECT_TRUE(inbox.empty()) << "pending transfers leaked past the barrier";
+  EXPECT_TRUE(drain(mb, 1).empty())
+      << "pending transfers leaked past the barrier";
 
   mb.publish();
-  mb.take_ready(1, inbox);
+  const std::vector<Drained> inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 1u);
-  EXPECT_EQ(inbox[0].pkt.flow, 10u);
+  EXPECT_EQ(inbox[0].flow, 10u);
   EXPECT_TRUE(mb.all_empty());
 }
 
@@ -55,26 +93,24 @@ TEST(ShardMailboxes, SequenceNumbersArePerShardPair) {
   ShardMailboxes mb(3);
   // Interleave deposits to two destinations; each (src, dst) pair keeps its
   // own counter, so neither stream perturbs the other's stamps.
-  mb.put(0, 1, make_rec(1, 100));
-  mb.put(0, 2, make_rec(2, 100));
-  mb.put(0, 1, make_rec(3, 100));
-  mb.put(2, 1, make_rec(4, 100));
-  mb.put(0, 2, make_rec(5, 100));
+  deposit(mb, 0, 1, 1, 100);
+  deposit(mb, 0, 2, 2, 100);
+  deposit(mb, 0, 1, 3, 100);
+  deposit(mb, 2, 1, 4, 100);
+  deposit(mb, 0, 2, 5, 100);
   mb.publish();
 
-  std::vector<CrossShardPacket> to1;
-  mb.take_ready(1, to1);
+  const std::vector<Drained> to1 = drain(mb, 1);
   ASSERT_EQ(to1.size(), 3u);
-  // Ascending src-shard order: src 0's cell first, then src 2's.
+  // Equal arrivals: src 0's transfers first, then src 2's.
   EXPECT_EQ(flows_of(to1), (std::vector<FlowId>{1, 3, 4}));
   EXPECT_EQ(to1[0].seq, 0u);
   EXPECT_EQ(to1[1].seq, 1u);
   EXPECT_EQ(to1[2].seq, 0u);  // (2, 1) counts independently of (0, 1)
-  EXPECT_EQ(to1[0].src_shard, 0);
-  EXPECT_EQ(to1[2].src_shard, 2);
+  EXPECT_EQ(to1[0].src, 0);
+  EXPECT_EQ(to1[2].src, 2);
 
-  std::vector<CrossShardPacket> to2;
-  mb.take_ready(2, to2);
+  const std::vector<Drained> to2 = drain(mb, 2);
   ASSERT_EQ(to2.size(), 2u);
   EXPECT_EQ(flows_of(to2), (std::vector<FlowId>{2, 5}));
   EXPECT_EQ(to2[0].seq, 0u);
@@ -84,24 +120,18 @@ TEST(ShardMailboxes, SequenceNumbersArePerShardPair) {
 TEST(ShardMailboxes, CanonicalInjectionOrderIsDeterministic) {
   // Adversarial multi-source deposit pattern: equal arrivals from different
   // shards, out-of-order arrivals within a shard, and ties broken only by
-  // (arrival, src shard, seq) — the exact sort the sharded runner applies
-  // before re-materializing (experiments/sharded.cc inject_inbox).
+  // (arrival, src shard, seq) — the order order_ready() hands the sharded
+  // runner's inject_inbox.
   ShardMailboxes mb(4);
-  mb.put(2, 0, make_rec(20, 500));
-  mb.put(2, 0, make_rec(21, 300));
-  mb.put(1, 0, make_rec(10, 500));
-  mb.put(3, 0, make_rec(30, 300));
-  mb.put(1, 0, make_rec(11, 300));
+  deposit(mb, 2, 0, 20, 500);
+  deposit(mb, 2, 0, 21, 300);
+  deposit(mb, 1, 0, 10, 500);
+  deposit(mb, 3, 0, 30, 300);
+  deposit(mb, 1, 0, 11, 300);
   mb.publish();
 
-  std::vector<CrossShardPacket> inbox;
-  mb.take_ready(0, inbox);
+  const std::vector<Drained> inbox = drain(mb, 0);
   ASSERT_EQ(inbox.size(), 5u);
-  std::sort(inbox.begin(), inbox.end(),
-            [](const CrossShardPacket& a, const CrossShardPacket& b) {
-              return std::make_tuple(a.arrival, a.src_shard, a.seq) <
-                     std::make_tuple(b.arrival, b.src_shard, b.seq);
-            });
   // arrival 300: src 1 before src 2 before src 3; arrival 500: src 1
   // before src 2.  Flow ids encode the deposit, so the order is total.
   EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{11, 21, 30, 10, 20}));
@@ -111,10 +141,9 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
   ShardMailboxes mb(2);
 
   // Epoch 1.
-  mb.put(0, 1, make_rec(1, 100));
+  deposit(mb, 0, 1, 1, 100, /*ints=*/kMaxHops);
   mb.publish();
-  std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
+  std::vector<Drained> inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox[0].seq, 0u);
   EXPECT_TRUE(mb.all_empty());
@@ -122,18 +151,19 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
   // Epoch 2: the same (src, dst) cell carries fresh transfers; the drained
   // ready cell must not replay epoch 1's records, and the pair's sequence
   // counter keeps counting (it is a lifetime transfer count, which is what
-  // makes (arrival, src, seq) a total order across epochs).
-  mb.put(0, 1, make_rec(2, 200));
-  mb.put(0, 1, make_rec(3, 200));
-  inbox.clear();
-  mb.take_ready(1, inbox);
-  EXPECT_TRUE(inbox.empty()) << "epoch 2 pending visible before publish";
+  // makes (arrival, src, seq) a total order across epochs).  Recycled
+  // records must not leak the earlier INT stack either.
+  deposit(mb, 0, 1, 2, 200);
+  deposit(mb, 0, 1, 3, 200, /*ints=*/2);
+  EXPECT_TRUE(drain(mb, 1).empty()) << "epoch 2 pending visible before publish";
   mb.publish();
-  mb.take_ready(1, inbox);
+  inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 2u);
   EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{2, 3}));
   EXPECT_EQ(inbox[0].seq, 1u);
   EXPECT_EQ(inbox[1].seq, 2u);
+  EXPECT_EQ(inbox[0].int_count, 0);
+  EXPECT_EQ(inbox[1].int_count, 2);
 
   EXPECT_TRUE(mb.all_empty());
   EXPECT_EQ(mb.total_transfers(), 3u);
@@ -141,20 +171,115 @@ TEST(ShardMailboxes, CellsAreReusedAcrossEpochs) {
 
 TEST(ShardMailboxes, TotalTransfersCountsAllPairs) {
   ShardMailboxes mb(3);
-  mb.put(0, 1, make_rec(1, 10));
-  mb.put(1, 2, make_rec(2, 10));
-  mb.put(2, 0, make_rec(3, 10));
-  mb.put(0, 2, make_rec(4, 10));
+  deposit(mb, 0, 1, 1, 10);
+  deposit(mb, 1, 2, 2, 10);
+  deposit(mb, 2, 0, 3, 10);
+  deposit(mb, 0, 2, 4, 10);
   EXPECT_EQ(mb.total_transfers(), 4u);
   mb.publish();
   EXPECT_EQ(mb.total_transfers(), 4u);  // publish moves, never re-counts
-  std::vector<CrossShardPacket> inbox;
-  for (int d = 0; d < 3; ++d) {
-    inbox.clear();
-    mb.take_ready(d, inbox);
-  }
+  for (int d = 0; d < 3; ++d) drain(mb, d);
   EXPECT_TRUE(mb.all_empty());
   EXPECT_EQ(mb.total_transfers(), 4u);
+}
+
+// Differential test against a reference model: random deposits over 4-8
+// shards with random skip patterns.  Every drain must yield exactly the
+// published-but-undrained records, in a reference sort by (arrival, src,
+// seq), with intact INT prefixes; the release horizons must equal the
+// reference minima after every publish.  The runs must exercise both
+// publish paths: a swap into an empty ready cell, and an append behind
+// records a skipped destination still holds.
+TEST(ShardMailboxes, RandomDepositsDrainInReferenceOrder) {
+  int swaps = 0;
+  int appends = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    std::mt19937_64 rng(seed);
+    const int shards = 4 + static_cast<int>(seed % 5);
+    const auto cells = static_cast<std::size_t>(shards * shards);
+    ShardMailboxes mb(shards);
+    std::vector<std::uint64_t> seq(cells, 0);
+    std::vector<std::vector<Drained>> pending(cells);
+    std::vector<std::vector<Drained>> ready(cells);
+    FlowId next_flow = 1;
+
+    for (int epoch = 0; epoch < 30; ++epoch) {
+      const int deposits = static_cast<int>(rng() % 48);
+      for (int i = 0; i < deposits; ++i) {
+        const int src = static_cast<int>(rng() % shards);
+        int dst = static_cast<int>(rng() % (shards - 1));
+        if (dst >= src) ++dst;
+        // A narrow arrival window forces ties across sources and within
+        // one source.
+        const sim::Time arrival = epoch * 100 + static_cast<sim::Time>(rng() % 40);
+        const int ints = static_cast<int>(rng() % (kMaxHops + 1));
+        const std::size_t c = static_cast<std::size_t>(src * shards + dst);
+        deposit(mb, src, dst, next_flow, arrival, ints);
+        pending[c].push_back({next_flow, arrival, src, seq[c]++, ints});
+        ++next_flow;
+      }
+      for (std::size_t c = 0; c < cells; ++c) {
+        if (pending[c].empty()) continue;
+        (ready[c].empty() ? swaps : appends) += 1;
+        ready[c].insert(ready[c].end(), pending[c].begin(), pending[c].end());
+        pending[c].clear();
+      }
+      mb.publish();
+
+      for (int dst = 0; dst < shards; ++dst) {
+        sim::Time earliest = sim::kMaxTime;
+        for (int src = 0; src < shards; ++src) {
+          sim::Time cell_min = sim::kMaxTime;
+          for (const Drained& d : ready[static_cast<std::size_t>(src * shards + dst)]) {
+            cell_min = std::min(cell_min, d.arrival);
+          }
+          EXPECT_EQ(mb.ready_release(src, dst), cell_min)
+              << "seed " << seed << " epoch " << epoch;
+          earliest = std::min(earliest, cell_min);
+        }
+        ASSERT_EQ(mb.earliest_ready(dst), earliest)
+            << "seed " << seed << " epoch " << epoch << " dst " << dst;
+      }
+
+      for (int dst = 0; dst < shards; ++dst) {
+        if (rng() % 3 == 0) continue;  // skipped: records stay published
+        std::vector<Drained> expected;
+        for (int src = 0; src < shards; ++src) {
+          auto& cell = ready[static_cast<std::size_t>(src * shards + dst)];
+          expected.insert(expected.end(), cell.begin(), cell.end());
+          cell.clear();
+        }
+        std::sort(expected.begin(), expected.end(),
+                  [](const Drained& a, const Drained& b) {
+                    return std::tie(a.arrival, a.src, a.seq) <
+                           std::tie(b.arrival, b.src, b.seq);
+                  });
+        const std::vector<Drained> got = drain(mb, dst);
+        ASSERT_EQ(flows_of(got), flows_of(expected))
+            << "seed " << seed << " epoch " << epoch << " dst " << dst;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].seq, expected[i].seq);
+          EXPECT_EQ(got[i].int_count, expected[i].int_count);
+        }
+        EXPECT_EQ(mb.earliest_ready(dst), sim::kMaxTime);
+      }
+    }
+  }
+  EXPECT_GT(swaps, 0) << "no publish took the swap path";
+  EXPECT_GT(appends, 0) << "no publish took the append path";
+}
+
+TEST(ShardMailboxes, ArrivalAtTheShardClockPasses) {
+  check_arrival_not_past(/*shard=*/3, /*arrival=*/1000, /*now=*/1000);
+  check_arrival_not_past(/*shard=*/3, /*arrival=*/1001, /*now=*/1000);
+}
+
+TEST(ShardMailboxesDeathTest, ArrivalBeforeShardClockAborts) {
+  // Always on, including optimized builds: the message names the shard and
+  // both instants.
+  EXPECT_DEATH(check_arrival_not_past(/*shard=*/3, /*arrival=*/900,
+                                      /*now=*/1000),
+               "shard 3 arrives at 900 ns.*clock at 1000 ns");
 }
 
 TEST(ShardLookahead, ClosureBoundsIndirectPairs) {
@@ -199,8 +324,8 @@ TEST(ShardMailboxes, ReleaseHorizonTracksEarliestUndrainedArrival) {
   // pending may leak into it before the barrier.
   ShardMailboxes mb(3);
   EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime);
-  mb.put(0, 1, make_rec(1, 500));
-  mb.put(2, 1, make_rec(2, 300));
+  deposit(mb, 0, 1, 1, 500);
+  deposit(mb, 2, 1, 2, 300);
   EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime)
       << "pending deposits visible to the planner before publish";
   mb.publish();
@@ -214,26 +339,26 @@ TEST(ShardMailboxes, ReleaseHorizonTracksEarliestUndrainedArrival) {
 TEST(ShardMailboxes, ReleaseHorizonSurvivesSkippedEpochs) {
   // An idle destination skips epochs without draining: its records stay
   // published, the horizon carries over publish() no-ops, and later
-  // transfers min-fold into it.  Only the owning reader's take_ready()
+  // transfers min-fold into it.  Only the owning reader's clear_ready()
   // resets the cell.
   ShardMailboxes mb(2);
-  mb.put(0, 1, make_rec(1, 700));
+  deposit(mb, 0, 1, 1, 700);
   mb.publish();
   EXPECT_EQ(mb.earliest_ready(1), 700);
   mb.publish();  // skipped epoch: nothing pending, horizon intact
   EXPECT_EQ(mb.earliest_ready(1), 700);
-  mb.put(0, 1, make_rec(2, 400));
+  deposit(mb, 0, 1, 2, 400);
   mb.publish();
   EXPECT_EQ(mb.earliest_ready(1), 400);
   EXPECT_FALSE(mb.all_empty()) << "retained records must still count";
 
-  std::vector<CrossShardPacket> inbox;
-  mb.take_ready(1, inbox);
+  const std::vector<Drained> inbox = drain(mb, 1);
   ASSERT_EQ(inbox.size(), 2u);
-  EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{1, 2}));
+  // The appended record arrives first, so it is injected first.
+  EXPECT_EQ(flows_of(inbox), (std::vector<FlowId>{2, 1}));
   EXPECT_EQ(mb.earliest_ready(1), sim::kMaxTime) << "drain must reset";
   EXPECT_TRUE(mb.all_empty());
-  mb.put(0, 1, make_rec(3, 900));
+  deposit(mb, 0, 1, 3, 900);
   mb.publish();
   EXPECT_EQ(mb.earliest_ready(1), 900) << "horizon re-derives after reuse";
 }

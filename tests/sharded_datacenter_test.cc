@@ -61,9 +61,10 @@ TEST(ShardedDatacenter, ThreadCountInvariance) {
 }
 
 // Pool hygiene across shard boundaries: a packet leaving pod A is
-// export_release'd from A's pool and re-materialized in B's, so after a
-// full drain every pool must be exactly empty — any nonzero live count is
-// a leaked slot in the handoff path.
+// export_release'd from A's pool straight into a mailbox record, and B
+// re-materializes it from that record into its own pool, so after a full
+// drain every pool must be exactly empty — any nonzero live count is a
+// leaked slot in the handoff path.
 TEST(ShardedDatacenter, CrossShardHandoffLeakFree) {
   ShardedRunStats stats;
   const DatacenterResult r = run_datacenter_sharded(sharded_config(), 8, &stats);
